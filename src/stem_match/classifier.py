@@ -29,6 +29,7 @@ EMOJI_RANGES = (
     (0x1F680, 0x1F6FF),
     (0x1F900, 0x1F9FF),
 )
+_EMOJI = re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI_RANGES) + "]")
 
 # Whole-token, case-sensitive laughter markers: HAHA (two or more HA
 # repetitions, optional trailing H) and LOL with any number of Os.
@@ -47,7 +48,7 @@ class ClassifierError(ValueError):
 
 
 def contains_emoji(text: str) -> bool:
-    return any(lo <= ord(ch) <= hi for ch in text for lo, hi in EMOJI_RANGES)
+    return _EMOJI.search(text) is not None
 
 
 def contains_hashtag(text: str) -> bool:

@@ -68,6 +68,13 @@ def build_page_spec(result: MatchResult, student: StudentRecord,
     Profile URLs are derived from candidate ids through ``url_template``
     (records carry no URL field of their own).
     """
+    return _page_spec(result, student.display_name or student.id, candidates, survey_url,
+                      url_template)
+
+
+def _page_spec(result: MatchResult, greeting_name: str,
+               candidates: Mapping[str, CandidateRecord],
+               survey_url: str | None, url_template: str) -> PageSpec:
     if not result.ranked:
         raise PageError(f"match result for {result.student_id!r} is empty")
     entries = []
@@ -88,7 +95,7 @@ def build_page_spec(result: MatchResult, student: StudentRecord,
         )
     return PageSpec(
         student_id=result.student_id,
-        greeting_name=student.display_name or student.id,
+        greeting_name=greeting_name,
         entries=tuple(entries),
         survey_url=survey_url,
     )
@@ -155,22 +162,32 @@ def generate_page(result: MatchResult, student: StudentRecord,
     return render_page(build_page_spec(result, student, candidates, survey_url, url_template))
 
 
-def write_pages(results: Iterable[MatchResult], students: Mapping[str, StudentRecord],
+def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
                 candidates: Mapping[str, CandidateRecord], out_dir: str | Path,
                 survey_url: str | None = None,
                 url_template: str = PROFILE_URL_TEMPLATE) -> list[Path]:
-    """Write ``<out_dir>/<student_id>.html`` for every result."""
+    """Write ``<out_dir>/<student_id>.html`` for every result.
+
+    ``display_names`` maps each student id to the student's display name
+    (empty when unknown).  Any other ``*.html`` already in ``out_dir`` is a
+    page for a student no longer in the results and is removed.
+    """
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for result in results:
-        student = students.get(result.student_id)
-        if student is None:
+        display_name = display_names.get(result.student_id)
+        if display_name is None:
             raise PageError(f"no student record for result {result.student_id!r}")
         if not _SAFE_FILENAME.match(result.student_id):
             raise PageError(f"student id {result.student_id!r} is not filename-safe")
-        text = generate_page(result, student, candidates, survey_url, url_template)
+        spec = _page_spec(result, display_name or result.student_id, candidates, survey_url,
+                          url_template)
         path = directory / f"{result.student_id}.html"
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_text(render_page(spec), encoding="utf-8", newline="\n")
         written.append(path)
+    keep = set(written)
+    for stale in directory.glob("*.html"):
+        if stale not in keep:
+            stale.unlink()
     return written

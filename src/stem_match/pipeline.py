@@ -1,10 +1,14 @@
 """End-to-end orchestration: label → classify → identify → attributes → rank → report → pages.
 
-Each stage is a pure file contract: it reads only persisted inputs and
-writes its outputs under the configured output directory, so any stage
-can be rerun standalone and a rerun over unchanged inputs reproduces its
-outputs byte for byte.  ``resume=True`` skips stages whose outputs
-already exist.
+Each stage writes its outputs under the configured output directory, so
+any stage can be rerun standalone and a rerun over unchanged inputs
+reproduces its outputs byte for byte.  Within one ``run_pipeline`` call
+the stages also hand parsed data to each other through a ``RunState``:
+the students file is parsed once, and the rank stage's results go to the
+report and pages stages without a round trip through ``matches.jsonl``.
+A stage whose input is not in the state (run standalone, or after
+``resume=True`` skipped the stage that produces it) reads the artifact
+from disk.  ``resume=True`` skips stages whose outputs already exist.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import labeling
 from . import matching
 from . import pages as pages_mod
 from . import rolemodels
+from .matching import MatchResult
 from .records import CandidateRecord, StudentRecord, load_candidates, load_students, read_jsonl, write_jsonl
 
 STAGES = ("label", "classify", "identify", "attributes", "rank", "report", "pages")
@@ -139,6 +144,25 @@ class PipelineResult:
     skipped: list[str] = field(default_factory=list)
 
 
+@dataclass
+class RunState:
+    """Parsed data that one run hands from stage to stage.
+
+    A field stays None until a stage of this run fills it.  ``students``
+    is released after the attributes stage; later stages need only
+    ``display_names`` (student id → display name).
+    """
+
+    students: list[StudentRecord] | None = None
+    display_names: dict[str, str] | None = None
+    matches: list[MatchResult] | None = None
+
+    def release_students(self) -> None:
+        if self.students is not None:
+            self.display_names = {r.id: r.display_name for r in self.students}
+            self.students = None
+
+
 def _stage_outputs(paths: Mapping[str, Path], stage: str) -> list[Path]:
     by_stage = {
         "label": ["labels"],
@@ -162,15 +186,34 @@ def _load_students_checked(path: Path, stage: str) -> list[StudentRecord]:
     return list(result.records)
 
 
-def _stage_label(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
-    students = _load_students_checked(config.students, "label")
+def _students(config: PipelineConfig, state: RunState, stage: str) -> list[StudentRecord]:
+    if state.students is None:
+        state.students = _load_students_checked(config.students, stage)
+    return state.students
+
+
+def _display_names(config: PipelineConfig, state: RunState) -> dict[str, str]:
+    if state.display_names is None:
+        _students(config, state, "pages")
+        state.release_students()
+    return state.display_names
+
+
+def _matches(paths: Mapping[str, Path], state: RunState) -> list[MatchResult]:
+    if state.matches is None:
+        state.matches = matching.load_matches(paths["matches"])
+    return state.matches
+
+
+def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+    students = _students(config, state, "label")
     rules = labeling.load_rules(config.rules) if config.rules else labeling.default_rules()
     partition = labeling.label_corpus(students, rules)
     write_jsonl(paths["labels"], labeling.label_rows(partition, students))
 
 
-def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
-    students = _load_students_checked(config.students, "classify")
+def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+    students = _students(config, state, "classify")
     labels = labeling.read_labels(paths["labels"])
     train_config = clf.TrainConfig(
         seed=config.seed, epochs=config.epochs, lam=config.lam, with_retweet=config.with_retweet
@@ -210,7 +253,7 @@ def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
     write_jsonl(paths["predicted"], rows)
 
 
-def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
+def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     taxonomy = rolemodels.load_taxonomy(config.taxonomy) if config.taxonomy else rolemodels.default_taxonomy()
     majors = rolemodels.load_majors(config.majors) if config.majors else rolemodels.default_majors()
     loaded = load_candidates(config.candidates, industries=taxonomy.groups)
@@ -240,8 +283,8 @@ def _load_rolemodels(paths: Mapping[str, Path]) -> list[CandidateRecord]:
     return [CandidateRecord.from_dict(row) for row in read_jsonl(paths["rolemodels"])]
 
 
-def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
-    students = _load_students_checked(config.students, "attributes")
+def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+    students = _students(config, state, "attributes")
     college = _college_ids(paths)
     student_pairs = [
         (record.id, attr.build_profile(record)) for record in students if record.id in college
@@ -254,14 +297,14 @@ def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path]) -> None
     attr.write_profiles(paths["rolemodel_profiles"], candidate_pairs)
 
 
-def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
+def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     students = attr.load_profiles(paths["student_profiles"])
     candidates = attr.load_profiles(paths["rolemodel_profiles"])
-    results = matching.match_corpus(students, candidates, config.k, config.fuzzy_threshold)
-    matching.write_matches(paths["matches"], results)
+    state.matches = matching.match_corpus(students, candidates, config.k, config.fuzzy_threshold)
+    matching.write_matches(paths["matches"], state.matches)
 
 
-def _stage_report(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
+def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     labels = labeling.read_labels(paths["labels"])
     label_counts = {
         value: sum(1 for v in labels.values() if v == value) for value in labeling.LABEL_VALUES
@@ -273,7 +316,7 @@ def _stage_report(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
     for row in rolemodel_rows:
         reason = row.get("reason", "unknown")
         reason_counts[reason] = reason_counts.get(reason, 0) + 1
-    results = matching.load_matches(paths["matches"])
+    results = _matches(paths, state)
 
     report: dict = {
         "cohort": {
@@ -309,12 +352,12 @@ def _stage_report(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
     paths["report"].write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path]) -> None:
-    students = {r.id: r for r in _load_students_checked(config.students, "pages")}
+def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+    names = _display_names(config, state)
     candidates = {r.id: r for r in _load_rolemodels(paths)}
-    results = [r for r in matching.load_matches(paths["matches"]) if r.ranked]
+    results = [r for r in _matches(paths, state) if r.ranked]
     pages_mod.write_pages(
-        results, students, candidates, paths["pages"],
+        results, names, candidates, paths["pages"],
         survey_url=config.survey_url, url_template=config.profile_url_template,
     )
 
@@ -338,16 +381,19 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> PipelineResult
     """Run all stages in order; raises PipelineError naming a failed stage."""
     paths = config.artifact_paths()
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    state = RunState()
     skipped = []
     for stage in STAGES:
         if resume and _outputs_exist(paths, stage):
             skipped.append(stage)
-            continue
-        try:
-            _STAGE_FUNCS[stage](config, paths)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
+        else:
+            try:
+                _STAGE_FUNCS[stage](config, paths, state)
+            except PipelineError:
+                raise
+            except Exception as exc:
+                raise PipelineError(stage, str(exc)) from exc
+        if stage == "attributes":
+            state.release_students()
     report = json.loads(paths["report"].read_text(encoding="utf-8"))
     return PipelineResult(paths=paths, report=report, skipped=skipped)

@@ -2,14 +2,15 @@
 
 Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
-matching, and a per-pair full sort for ranking, so agreement is evidence
-rather than tautology.
+matching, a per-pair full sort for ranking, and a per-character range
+test for emoji, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from stem_match.classifier import EMOJI_RANGES
 from stem_match.similarity import combined_score
 
 
@@ -72,3 +73,8 @@ def full_sort_rank(student_id, student, candidates, k, threshold):
         scored.append((candidate_id, breakdown))
     scored.sort(key=lambda item: (item[1].no_signal, -item[1].combined, item[0]))
     return scored[:k]
+
+
+def contains_emoji(text: str) -> bool:
+    """Test every character of ``text`` against every emoji range."""
+    return any(lo <= ord(ch) <= hi for ch in text for lo, hi in EMOJI_RANGES)

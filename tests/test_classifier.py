@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import oracles
 from stem_match.classifier import (
+    EMOJI_RANGES,
     ClassifierError,
     FeatureVector,
     TrainConfig,
@@ -22,6 +24,7 @@ from stem_match.classifier import (
 )
 from stem_match.labeling import COLLEGE, NON_COLLEGE
 from stem_match.records import StudentRecord
+from stem_match.synthetic import SynthConfig, generate_population
 
 
 def student(tweets):
@@ -49,6 +52,36 @@ def test_emoji_detection_covers_the_four_blocks():
     assert contains_emoji("brain \U0001F9E0")  # supplemental
     assert not contains_emoji("plain text :-)")
     assert not contains_emoji("star ✨")   # dingbat block, not counted
+
+
+# Each end of each emoji range, and the code points just outside it.
+EMOJI_EDGES = sorted({cp + d for lo, hi in EMOJI_RANGES for cp in (lo, hi) for d in (-1, 0, 1)})
+
+
+def test_emoji_detection_agrees_with_the_range_oracle_on_every_code_point_near_the_blocks():
+    assert 0x1F000 < EMOJI_EDGES[0] and EMOJI_EDGES[-1] < 0x1FAFF
+    for cp in range(0x1F000, 0x1FB00):
+        assert contains_emoji(chr(cp)) == oracles.contains_emoji(chr(cp)), hex(cp)
+
+
+@pytest.mark.parametrize("filler", ["plain ascii text", "caf\u00e9 \u2728 \u4e2d\u6587 \uffff", ""])
+def test_emoji_detection_agrees_with_the_range_oracle_at_any_position(filler):
+    for cp in EMOJI_EDGES + [0x2728, 0x263A, 0x1FA70]:
+        ch = chr(cp)
+        for text in (ch + filler, filler[:3] + ch + filler[3:], filler + ch, filler):
+            assert contains_emoji(text) == oracles.contains_emoji(text), (hex(cp), text)
+
+
+def test_extract_features_emoji_counts_match_the_oracle_on_a_synthetic_corpus():
+    population = generate_population(SynthConfig(seed=5, n_students=200, n_candidates=0))
+    with_tweets = [record for record in population.students if record.tweets]
+    assert any(oracles.contains_emoji(t) for r in with_tweets for t in r.tweets)
+    for record in with_tweets:
+        total = len(record.tweets)
+        count = sum(1 for t in record.tweets if oracles.contains_emoji(t))
+        features = extract_features(record)
+        assert features.raw_frequencies[0] == count / total, record.id
+        assert features.emoji_bin == min(10 * count // total, 9), record.id
 
 
 def test_hahalol_is_case_sensitive_and_token_bounded():

@@ -120,9 +120,9 @@ def test_render_is_deterministic():
 
 def test_write_pages_one_file_per_student(tmp_path):
     mapping = candidates_by_id(candidate("c1"), candidate("c2"))
-    students = {"s1": student("s1", "Ana"), "s2": student("s2", "Blake")}
+    names = {"s1": "Ana", "s2": "Blake"}
     results = [result_for("s1", ["c1"]), result_for("s2", ["c2", "c1"])]
-    paths = write_pages(results, students, mapping, tmp_path)
+    paths = write_pages(results, names, mapping, tmp_path)
     assert sorted(p.name for p in paths) == ["s1.html", "s2.html"]
     page_one = (tmp_path / "s1.html").read_text(encoding="utf-8")
     page_two = (tmp_path / "s2.html").read_text(encoding="utf-8")
@@ -139,8 +139,7 @@ def test_write_pages_requires_known_students(tmp_path):
 
 def test_write_pages_rejects_ids_that_are_not_safe_filenames(tmp_path):
     sid = "../escape"
-    records = {sid: StudentRecord(id=sid, tweets=("t",), bio="b")}
     with pytest.raises(PageError):
-        write_pages([result_for(sid, ["c1"])], records,
+        write_pages([result_for(sid, ["c1"])], {sid: ""},
                     candidates_by_id(candidate("c1")), tmp_path)
     assert not (tmp_path.parent / "escape.html").exists()

@@ -1,9 +1,11 @@
 """The end-to-end pipeline as a chain of file contracts."""
 
 import json
+import shutil
 
 import pytest
 
+from stem_match import pipeline
 from stem_match.pipeline import (
     STAGES,
     PipelineConfig,
@@ -87,19 +89,76 @@ def test_resume_reruns_only_stages_with_missing_outputs(tmp_path, corpus):
     assert first.paths["matches"].read_bytes() == baseline
 
 
+def tree_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
 def test_rerun_from_scratch_is_byte_identical(tmp_path, corpus):
-    first = run_pipeline(make_config(corpus, tmp_path / "one"))
-    second = run_pipeline(make_config(corpus, tmp_path / "two"))
-    for name, path in first.paths.items():
-        other = second.paths[name]
-        if path.is_dir():
-            ours = sorted(p.name for p in path.iterdir())
-            theirs = sorted(p.name for p in other.iterdir())
-            assert ours == theirs
-            for child in ours:
-                assert (path / child).read_bytes() == (other / child).read_bytes()
+    run_pipeline(make_config(corpus, tmp_path / "one"))
+    run_pipeline(make_config(corpus, tmp_path / "two"))
+    assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
+
+
+@pytest.fixture
+def load_counts(monkeypatch):
+    counts = {"load_students": 0, "load_matches": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "load_students", counting("load_students", pipeline.load_students))
+    monkeypatch.setattr(pipeline.matching, "load_matches",
+                        counting("load_matches", pipeline.matching.load_matches))
+    return counts
+
+
+def test_one_run_parses_students_once_and_never_reads_matches_back(tmp_path, corpus, load_counts):
+    run_pipeline(make_config(corpus, tmp_path / "out"))
+    assert load_counts == {"load_students": 1, "load_matches": 0}
+
+
+@pytest.mark.parametrize("removed, rerun", [
+    (("report.json", "pages"), ["report", "pages"]),
+    (("pages",), ["pages"]),
+])
+def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, load_counts,
+                                                            removed, rerun):
+    fresh = tmp_path / "fresh"
+    run_pipeline(make_config(corpus, fresh))
+    out = tmp_path / "out"
+    shutil.copytree(fresh, out)
+    for name in removed:
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
         else:
-            assert path.read_bytes() == other.read_bytes(), name
+            (out / name).unlink()
+    load_counts.update(load_students=0, load_matches=0)
+
+    result = run_pipeline(make_config(corpus, out), resume=True)
+
+    assert [stage for stage in STAGES if stage not in result.skipped] == rerun
+    assert load_counts == {"load_students": 1, "load_matches": 1}
+    assert tree_bytes(out) == tree_bytes(fresh)
+
+
+def test_rerun_with_a_smaller_cohort_removes_pages_of_departed_students(tmp_path, corpus):
+    out = tmp_path / "out"
+    run_pipeline(make_config(corpus, out))
+    rows = corpus["students"].read_text(encoding="utf-8").splitlines(keepends=True)
+    smaller = tmp_path / "smaller.jsonl"
+    smaller.write_text("".join(rows[:len(rows) // 2]), encoding="utf-8")
+    departed = {json.loads(row)["id"] for row in rows[len(rows) // 2:]}
+    assert departed & {p.stem for p in (out / "pages").glob("*.html")}
+
+    run_pipeline(make_config(corpus, out, students=smaller))
+    run_pipeline(make_config(corpus, tmp_path / "fresh", students=smaller))
+    assert tree_bytes(out / "pages") == tree_bytes(tmp_path / "fresh" / "pages")
 
 
 def test_errors_name_the_failing_stage(tmp_path, corpus):
