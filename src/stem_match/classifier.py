@@ -33,8 +33,7 @@ _EMOJI = re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI
 
 # Whole-token, case-sensitive laughter markers: HAHA (two or more HA
 # repetitions, optional trailing H) and LOL with any number of Os.
-_HAHA = re.compile(r"\b(?:HA){2,}H?\b")
-_LOL = re.compile(r"\bLO+L\b")
+_HAHALOL = re.compile(r"\b(?:(?:HA){2,}H?|LO+L)\b")
 _HASHTAG = re.compile(r"#\w")
 RETWEET_PREFIX = "RT @"
 
@@ -56,7 +55,7 @@ def contains_hashtag(text: str) -> bool:
 
 
 def contains_hahalol(text: str) -> bool:
-    return _HAHA.search(text) is not None or _LOL.search(text) is not None
+    return _HAHALOL.search(text) is not None
 
 
 def is_retweet(text: str) -> bool:

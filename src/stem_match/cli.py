@@ -1,9 +1,11 @@
 """Command-line interface.
 
-One subcommand per pipeline stage plus ``pipeline`` (run everything from
-a config file) and ``synth`` (generate a synthetic population).  Each
-stage subcommand reads and writes plain JSONL files so stages can be
-chained, inspected, and rerun by hand.
+One subcommand per pipeline stage plus ``evaluate``, ``pipeline`` (run
+everything from a config file) and ``synth`` (generate a synthetic
+population).  Each stage subcommand loads its inputs, warning about and
+skipping bad rows, then calls the pipeline's function for that stage, so
+it writes the same bytes as a pipeline run.  Stages read and write plain
+JSONL files so they can be chained, inspected, and rerun by hand.
 """
 
 from __future__ import annotations
@@ -15,98 +17,59 @@ from pathlib import Path
 
 from . import attributes as attr
 from . import classifier as clf
-from . import labeling
 from . import matching
 from . import pipeline as pipeline_mod
-from . import rolemodels
 from . import synthetic
-from .records import CandidateRecord, LoadResult, StudentRecord, load_candidates, load_students, read_jsonl, write_jsonl
+from .records import LoadResult, load_candidates, load_students
 
 
-def _report_load(result: LoadResult, path: str) -> None:
+def _records(result: LoadResult, path: str) -> list:
+    """Warn about each bad row of ``path`` and return the good records."""
     for error in result.errors:
         print(f"warning: {path} line {error.line}: {error.message}", file=sys.stderr)
+    return list(result.records)
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    loaded = load_students(args.students)
-    _report_load(loaded, args.students)
-    rules = labeling.load_rules(args.rules) if args.rules else labeling.default_rules()
-    partition = labeling.label_corpus(loaded.records, rules)
-    write_jsonl(args.out, labeling.label_rows(partition, loaded.records))
-    counts = partition.counts()
-    print(f"labeled {len(loaded.records)} students: {counts}")
+    students = _records(load_students(args.students), args.students)
+    partition = pipeline_mod.label(students, args.rules, args.out)
+    print(f"labeled {len(students)} students: {partition.counts()}")
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    loaded = load_students(args.students)
-    _report_load(loaded, args.students)
-    labels = labeling.read_labels(args.train)
+    students = _records(load_students(args.students), args.students)
     config = clf.TrainConfig(seed=args.seed, epochs=args.epochs, lam=args.lam,
                              with_retweet=args.with_retweet)
-    train_records = [
-        r for r in loaded.records
-        if r.tweets and labels.get(r.id) in (labeling.COLLEGE, labeling.NON_COLLEGE)
-    ]
-    features = [clf.extract_features(r, args.with_retweet) for r in train_records]
-    model = clf.train(features, [labels[r.id] for r in train_records], config)
-    if args.model_out:
-        clf.save_model(model, args.model_out)
-    rows = []
-    n_predicted = 0
-    for record in loaded.records:
-        weak = labels.get(record.id, labeling.UNLABELED)
-        predicted = None
-        if weak == labeling.UNLABELED and record.tweets:
-            predicted = clf.infer(model, clf.extract_features(record, args.with_retweet))
-            n_predicted += 1
-        row = {"id": record.id, "weak_label": weak,
-               "college": weak == labeling.COLLEGE or predicted == labeling.COLLEGE}
-        if predicted is not None:
-            row["predicted"] = predicted
-        rows.append(row)
-    write_jsonl(args.out, rows)
-    print(f"trained on {len(train_records)} students, predicted {n_predicted}")
+    result = pipeline_mod.classify(students, args.train, config, pipeline_mod.DEFAULT_CV_FOLDS,
+                                   args.out, args.model_out)
+    print(f"trained on {result.trained} students, predicted {result.predicted}")
     return 0
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    taxonomy = rolemodels.load_taxonomy(args.taxonomy) if args.taxonomy else rolemodels.default_taxonomy()
-    majors = rolemodels.load_majors(args.majors) if args.majors else rolemodels.default_majors()
-    loaded = load_candidates(args.candidates, industries=taxonomy.groups)
-    _report_load(loaded, args.candidates)
-    result = rolemodels.filter_role_models(loaded.records, taxonomy, majors)
-    rows = []
-    for candidate in result.role_models:
-        row = candidate.to_dict()
-        row["reason"] = result.decisions[candidate.id].reason
-        rows.append(row)
-    write_jsonl(args.out, rows)
-    print(f"kept {len(rows)} of {len(loaded.records)} candidates: {result.counts}")
+    taxonomy, majors = pipeline_mod.load_taxonomy_and_majors(args.taxonomy, args.majors)
+    candidates = _records(load_candidates(args.candidates, industries=taxonomy.groups),
+                          args.candidates)
+    result = pipeline_mod.identify(candidates, taxonomy, majors, args.out)
+    print(f"kept {len(result.role_models)} of {len(candidates)} candidates: {result.counts}")
     return 0
 
 
 def _cmd_attributes(args: argparse.Namespace) -> int:
-    pairs = []
     if args.kind == "student":
-        loaded = load_students(args.in_path)
-        _report_load(loaded, args.in_path)
-        records: list[StudentRecord | CandidateRecord] = list(loaded.records)
+        records = _records(load_students(args.in_path), args.in_path)
     else:
-        records = [CandidateRecord.from_dict(row) for row in read_jsonl(args.in_path)]
-    for record in records:
-        pairs.append((record.id, attr.build_profile(record)))
-    attr.write_profiles(args.out, pairs)
-    print(f"wrote {len(pairs)} {args.kind} profiles")
+        records = pipeline_mod.load_rolemodels(args.in_path)
+    count = pipeline_mod.attributes(records, args.out)
+    print(f"wrote {count} {args.kind} profiles")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     students = attr.load_profiles(args.students)
     candidates = attr.load_profiles(args.rolemodels)
-    results = matching.match_corpus(students, candidates, args.k, args.fuzzy_threshold)
-    matching.write_matches(args.out, results)
+    results = pipeline_mod.rank(students, candidates, args.k, args.fuzzy_threshold, args.out)
     no_signal = sum(1 for r in results if r.all_no_signal())
     print(f"ranked {len(candidates)} candidates for {len(results)} students "
           f"({no_signal} with no signal)")

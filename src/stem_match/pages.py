@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from urllib.parse import urlsplit
 
 from .matching import MatchResult
-from .records import CandidateRecord, StudentRecord
+from .records import CandidateRecord
 
 PROFILE_URL_TEMPLATE = "https://www.linkedin.com/in/{id}"
 
@@ -59,7 +59,7 @@ def _check_url(url: str) -> None:
         raise PageError(f"not a valid http(s) URL: {url!r}")
 
 
-def build_page_spec(result: MatchResult, student: StudentRecord,
+def build_page_spec(result: MatchResult, greeting_name: str,
                     candidates: Mapping[str, CandidateRecord],
                     survey_url: str | None = None,
                     url_template: str = PROFILE_URL_TEMPLATE) -> PageSpec:
@@ -68,13 +68,6 @@ def build_page_spec(result: MatchResult, student: StudentRecord,
     Profile URLs are derived from candidate ids through ``url_template``
     (records carry no URL field of their own).
     """
-    return _page_spec(result, student.display_name or student.id, candidates, survey_url,
-                      url_template)
-
-
-def _page_spec(result: MatchResult, greeting_name: str,
-               candidates: Mapping[str, CandidateRecord],
-               survey_url: str | None, url_template: str) -> PageSpec:
     if not result.ranked:
         raise PageError(f"match result for {result.student_id!r} is empty")
     entries = []
@@ -154,14 +147,6 @@ def render_page(spec: PageSpec) -> str:
     )
 
 
-def generate_page(result: MatchResult, student: StudentRecord,
-                  candidates: Mapping[str, CandidateRecord],
-                  survey_url: str | None = None,
-                  url_template: str = PROFILE_URL_TEMPLATE) -> str:
-    """Build and render one student's page in a single call."""
-    return render_page(build_page_spec(result, student, candidates, survey_url, url_template))
-
-
 def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
                 candidates: Mapping[str, CandidateRecord], out_dir: str | Path,
                 survey_url: str | None = None,
@@ -181,8 +166,8 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
             raise PageError(f"no student record for result {result.student_id!r}")
         if not _SAFE_FILENAME.match(result.student_id):
             raise PageError(f"student id {result.student_id!r} is not filename-safe")
-        spec = _page_spec(result, display_name or result.student_id, candidates, survey_url,
-                          url_template)
+        spec = build_page_spec(result, display_name or result.student_id, candidates,
+                               survey_url, url_template)
         path = directory / f"{result.student_id}.html"
         path.write_text(render_page(spec), encoding="utf-8", newline="\n")
         written.append(path)

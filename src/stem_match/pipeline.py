@@ -1,5 +1,8 @@
 """End-to-end orchestration: label → classify → identify → attributes → rank → report → pages.
 
+Each stage is one public function over parsed inputs and explicit paths,
+which ``run_pipeline`` and the CLI subcommands both call.  Loading inputs
+is the caller's: a pipeline run rejects bad rows, the CLI skips them.
 Each stage writes its outputs under the configured output directory, so
 any stage can be rerun standalone and a rerun over unchanged inputs
 reproduces its outputs byte for byte.  Within one ``run_pipeline`` call
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import attributes as attr
 from . import classifier as clf
@@ -24,10 +27,13 @@ from . import labeling
 from . import matching
 from . import pages as pages_mod
 from . import rolemodels
-from .matching import MatchResult
-from .records import CandidateRecord, StudentRecord, load_candidates, load_students, read_jsonl, write_jsonl
+from .matching import GroundTruthAnnotation, MatchResult
+from .records import (AttributeProfile, CandidateRecord, LoadResult, StudentRecord,
+                      load_candidates, load_students, read_jsonl, write_jsonl)
 
 STAGES = ("label", "classify", "identify", "attributes", "rank", "report", "pages")
+
+DEFAULT_CV_FOLDS = 10
 
 
 class PipelineError(RuntimeError):
@@ -36,6 +42,26 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
+
+
+_STR = (lambda v: isinstance(v, str), "a string")
+_OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+
+# Config key -> (accepts(value), what it must be).  A null optional key
+# takes the field's default.
+_CONFIG_KEYS = {
+    **dict.fromkeys(("students", "candidates", "out_dir"), _STR),
+    **dict.fromkeys(("annotations", "rules", "taxonomy", "majors", "survey_url",
+                     "profile_url_template"), _OPTIONAL_STR),
+    **dict.fromkeys(("k", "seed", "epochs", "cv_folds"), _INT),
+    **dict.fromkeys(("fuzzy_threshold", "lam"), _NUMBER),
+    "with_retweet": (lambda v: isinstance(v, bool), "true or false"),
+    "top10_cities": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                     "a list of strings"),
+}
+_PATH_KEYS = ("students", "candidates", "out_dir", "annotations", "rules", "taxonomy", "majors")
 
 
 @dataclass(frozen=True)
@@ -59,7 +85,7 @@ class PipelineConfig:
     seed: int = 42
     epochs: int = 200
     lam: float = 0.01
-    cv_folds: int = 10
+    cv_folds: int = DEFAULT_CV_FOLDS
     survey_url: str | None = None
     profile_url_template: str = pages_mod.PROFILE_URL_TEMPLATE
     top10_cities: tuple[str, ...] = matching.DEFAULT_TOP10_CITIES
@@ -74,41 +100,24 @@ class PipelineConfig:
     def from_dict(cls, data: Mapping, base_dir: str | Path = ".") -> "PipelineConfig":
         if not isinstance(data, Mapping):
             raise ValueError("pipeline config must be a JSON object")
-        base = Path(base_dir)
-        known = {
-            "students", "candidates", "out_dir", "annotations", "rules",
-            "taxonomy", "majors", "k", "fuzzy_threshold", "with_retweet",
-            "seed", "epochs", "lam", "cv_folds", "survey_url",
-            "profile_url_template", "top10_cities",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
         for required in ("students", "candidates", "out_dir"):
             if required not in data:
                 raise ValueError(f"pipeline config is missing {required!r}")
-
-        def path_of(key: str) -> Path | None:
-            value = data.get(key)
-            if value is None:
-                return None
-            return base / str(value)
-
-        kwargs: dict = {
-            "students": path_of("students"),
-            "candidates": path_of("candidates"),
-            "out_dir": path_of("out_dir"),
-            "annotations": path_of("annotations"),
-            "rules": path_of("rules"),
-            "taxonomy": path_of("taxonomy"),
-            "majors": path_of("majors"),
-        }
-        for key in ("k", "fuzzy_threshold", "with_retweet", "seed", "epochs",
-                    "lam", "cv_folds", "survey_url", "profile_url_template"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "top10_cities" in data:
-            kwargs["top10_cities"] = tuple(data["top10_cities"])
+        kwargs: dict = {}
+        for key, value in data.items():
+            accepts, kind = _CONFIG_KEYS[key]
+            if not accepts(value):
+                raise ValueError(f"pipeline config key {key!r} must be {kind}, got {value!r}")
+            if value is not None:
+                kwargs[key] = value
+        for key in _PATH_KEYS:
+            if key in kwargs:
+                kwargs[key] = Path(base_dir) / kwargs[key]
+        if "top10_cities" in kwargs:
+            kwargs["top10_cities"] = tuple(kwargs["top10_cities"])
         return cls(**kwargs)
 
     @classmethod
@@ -163,6 +172,173 @@ class RunState:
             self.students = None
 
 
+def label(students: Sequence[StudentRecord], rules_path: str | Path | None,
+          labels_out: str | Path) -> labeling.LabelPartition:
+    """Weakly label ``students`` with the rules at ``rules_path`` (bundled when None)."""
+    rules = labeling.load_rules(rules_path) if rules_path else labeling.default_rules()
+    partition = labeling.label_corpus(students, rules)
+    write_jsonl(labels_out, labeling.label_rows(partition, students))
+    return partition
+
+
+@dataclass(frozen=True)
+class ClassifyResult:
+    """The trained model and how many students it was trained on and predicted."""
+
+    model: clf.ClassifierModel
+    trained: int
+    predicted: int
+
+
+def classify(students: Sequence[StudentRecord], labels_path: str | Path,
+             train_config: clf.TrainConfig, cv_folds: int, predicted_out: str | Path,
+             model_out: str | Path | None) -> ClassifyResult:
+    """Train on the weak labels at ``labels_path`` and predict the unlabeled students.
+
+    Students with tweets and a college / non-college weak label are the
+    training set.  The model is saved to ``model_out`` unless it is None.
+    """
+    labels = labeling.read_labels(labels_path)
+    train_records = [
+        record for record in students
+        if record.tweets and labels.get(record.id) in (labeling.COLLEGE, labeling.NON_COLLEGE)
+    ]
+    features = [clf.extract_features(r, train_config.with_retweet) for r in train_records]
+    train_labels = [labels[r.id] for r in train_records]
+
+    # Fold-wise training needs at least two examples of each class in every
+    # training split; requiring 2·k per class guarantees that, otherwise the
+    # model is trained on everything and CV accuracy is left unreported.
+    class_counts = {
+        value: train_labels.count(value) for value in (labeling.COLLEGE, labeling.NON_COLLEGE)
+    }
+    cv_accuracy = None
+    if min(class_counts.values(), default=0) >= 2 * cv_folds:
+        cv_accuracy = clf.cross_validate(features, train_labels, cv_folds, train_config)
+    model = clf.train(features, train_labels, train_config)
+    model = replace(model, cv_accuracy=cv_accuracy)
+    if model_out is not None:
+        clf.save_model(model, model_out)
+
+    rows = []
+    n_predicted = 0
+    for record in students:
+        weak = labels.get(record.id, labeling.UNLABELED)
+        predicted = None
+        if weak == labeling.UNLABELED and record.tweets:
+            predicted = clf.infer(model, clf.extract_features(record, train_config.with_retweet))
+            n_predicted += 1
+        college = weak == labeling.COLLEGE or predicted == labeling.COLLEGE
+        row = {"id": record.id, "weak_label": weak, "college": college}
+        if predicted is not None:
+            row["predicted"] = predicted
+        rows.append(row)
+    write_jsonl(predicted_out, rows)
+    return ClassifyResult(model, len(train_records), n_predicted)
+
+
+def load_taxonomy_and_majors(taxonomy_path: str | Path | None, majors_path: str | Path | None
+                             ) -> tuple[rolemodels.IndustryTaxonomy, rolemodels.StemMajorList]:
+    """The industry taxonomy and STEM major list at the given paths (bundled when None)."""
+    taxonomy = rolemodels.load_taxonomy(taxonomy_path) if taxonomy_path else rolemodels.default_taxonomy()
+    majors = rolemodels.load_majors(majors_path) if majors_path else rolemodels.default_majors()
+    return taxonomy, majors
+
+
+def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.IndustryTaxonomy,
+             majors: rolemodels.StemMajorList, rolemodels_out: str | Path) -> rolemodels.FilterResult:
+    """Keep the STEM role models among ``candidates``, each with its reason."""
+    result = rolemodels.filter_role_models(candidates, taxonomy, majors)
+    rows = []
+    for candidate in result.role_models:
+        row = candidate.to_dict()
+        row["reason"] = result.decisions[candidate.id].reason
+        rows.append(row)
+    write_jsonl(rolemodels_out, rows)
+    return result
+
+
+def load_rolemodels(path: str | Path) -> list[CandidateRecord]:
+    """Role models as the identify stage wrote them."""
+    return [CandidateRecord.from_dict(row) for row in read_jsonl(path)]
+
+
+def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path) -> int:
+    """Write one resolved attribute profile per record; returns how many."""
+    pairs = [(record.id, attr.build_profile(record)) for record in records]
+    attr.write_profiles(profiles_out, pairs)
+    return len(pairs)
+
+
+def rank(student_profiles: Sequence[tuple[str, AttributeProfile]],
+         rolemodel_profiles: Sequence[tuple[str, AttributeProfile]],
+         k: int, fuzzy_threshold: float, matches_out: str | Path) -> list[MatchResult]:
+    """Rank the role models for every student and write the top ``k`` of each."""
+    results = matching.match_corpus(student_profiles, rolemodel_profiles, k, fuzzy_threshold)
+    matching.write_matches(matches_out, results)
+    return results
+
+
+def report(results: Sequence[MatchResult], labels_path: str | Path, predicted_path: str | Path,
+           model_path: str | Path, rolemodels_path: str | Path, report_out: str | Path, *,
+           k: int, fuzzy_threshold: float, with_retweet: bool,
+           annotations: Sequence[GroundTruthAnnotation] | None,
+           top10_cities: Sequence[str]) -> dict:
+    """Summarize a run's artifacts, plus accuracy per level when annotated."""
+    labels = labeling.read_labels(labels_path)
+    label_counts = {
+        value: sum(1 for v in labels.values() if v == value) for value in labeling.LABEL_VALUES
+    }
+    predicted_rows = read_jsonl(predicted_path)
+    model = clf.load_model(model_path)
+    rolemodel_rows = read_jsonl(rolemodels_path)
+    reason_counts: dict[str, int] = {}
+    for row in rolemodel_rows:
+        reason = row.get("reason", "unknown")
+        reason_counts[reason] = reason_counts.get(reason, 0) + 1
+
+    summary: dict = {
+        "cohort": {
+            "students": len(predicted_rows),
+            "weak_labels": label_counts,
+            "college": sum(1 for row in predicted_rows if row.get("college") is True),
+            "classifier_college": sum(
+                1 for row in predicted_rows if row.get("predicted") == labeling.COLLEGE
+            ),
+        },
+        "classifier": {
+            "cv_accuracy": model.cv_accuracy,
+            "with_retweet": with_retweet,
+            "features": list(model.active_features),
+        },
+        "rolemodels": {"kept": len(rolemodel_rows), "reasons": reason_counts},
+        "matching": {
+            "students_ranked": len(results),
+            "k": k,
+            "fuzzy_threshold": fuzzy_threshold,
+            "no_signal_students": sum(1 for r in results if r.all_no_signal()),
+        },
+    }
+    if annotations is not None:
+        summary["evaluation"] = {
+            level: matching.evaluate(results, annotations, level, top10_cities, k).to_dict()
+            for level in matching.LEVELS
+        }
+    text = json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False)
+    Path(report_out).write_text(text + "\n", encoding="utf-8", newline="\n")
+    return summary
+
+
+def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
+          role_models: Iterable[CandidateRecord], pages_dir: str | Path,
+          survey_url: str | None, url_template: str) -> list[Path]:
+    """Write one page per student with at least one ranked role model."""
+    return pages_mod.write_pages(
+        [r for r in results if r.ranked], display_names, {r.id: r for r in role_models},
+        pages_dir, survey_url=survey_url, url_template=url_template,
+    )
+
+
 def _stage_outputs(paths: Mapping[str, Path], stage: str) -> list[Path]:
     by_stage = {
         "label": ["labels"],
@@ -176,19 +352,18 @@ def _stage_outputs(paths: Mapping[str, Path], stage: str) -> list[Path]:
     return [paths[name] for name in by_stage[stage]]
 
 
-def _load_students_checked(path: Path, stage: str) -> list[StudentRecord]:
-    result = load_students(path)
-    if result.errors:
-        first = result.errors[0]
+def _checked(loaded: LoadResult, stage: str, kind: str) -> list:
+    if loaded.errors:
+        first = loaded.errors[0]
         raise PipelineError(
-            stage, f"{len(result.errors)} bad student rows (first: line {first.line}: {first.message})"
+            stage, f"{len(loaded.errors)} bad {kind} rows (first: line {first.line}: {first.message})"
         )
-    return list(result.records)
+    return list(loaded.records)
 
 
 def _students(config: PipelineConfig, state: RunState, stage: str) -> list[StudentRecord]:
     if state.students is None:
-        state.students = _load_students_checked(config.students, stage)
+        state.students = _checked(load_students(config.students), stage, "student")
     return state.students
 
 
@@ -206,160 +381,55 @@ def _matches(paths: Mapping[str, Path], state: RunState) -> list[MatchResult]:
 
 
 def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    students = _students(config, state, "label")
-    rules = labeling.load_rules(config.rules) if config.rules else labeling.default_rules()
-    partition = labeling.label_corpus(students, rules)
-    write_jsonl(paths["labels"], labeling.label_rows(partition, students))
+    label(_students(config, state, "label"), config.rules, paths["labels"])
 
 
 def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    students = _students(config, state, "classify")
-    labels = labeling.read_labels(paths["labels"])
     train_config = clf.TrainConfig(
         seed=config.seed, epochs=config.epochs, lam=config.lam, with_retweet=config.with_retweet
     )
-
-    train_records = [
-        record for record in students
-        if record.tweets and labels.get(record.id) in (labeling.COLLEGE, labeling.NON_COLLEGE)
-    ]
-    features = [clf.extract_features(r, config.with_retweet) for r in train_records]
-    train_labels = [labels[r.id] for r in train_records]
-
-    # Fold-wise training needs at least two examples of each class in every
-    # training split; requiring 2·k per class guarantees that, otherwise the
-    # model is trained on everything and CV accuracy is left unreported.
-    class_counts = {
-        value: train_labels.count(value) for value in (labeling.COLLEGE, labeling.NON_COLLEGE)
-    }
-    cv_accuracy = None
-    if min(class_counts.values(), default=0) >= 2 * config.cv_folds:
-        cv_accuracy = clf.cross_validate(features, train_labels, config.cv_folds, train_config)
-    model = clf.train(features, train_labels, train_config)
-    model = replace(model, cv_accuracy=cv_accuracy)
-    clf.save_model(model, paths["model"])
-
-    rows = []
-    for record in students:
-        weak = labels.get(record.id, labeling.UNLABELED)
-        predicted = None
-        if weak == labeling.UNLABELED and record.tweets:
-            predicted = clf.infer(model, clf.extract_features(record, config.with_retweet))
-        college = weak == labeling.COLLEGE or predicted == labeling.COLLEGE
-        row = {"id": record.id, "weak_label": weak, "college": college}
-        if predicted is not None:
-            row["predicted"] = predicted
-        rows.append(row)
-    write_jsonl(paths["predicted"], rows)
+    classify(_students(config, state, "classify"), paths["labels"], train_config,
+             config.cv_folds, paths["predicted"], paths["model"])
 
 
 def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    taxonomy = rolemodels.load_taxonomy(config.taxonomy) if config.taxonomy else rolemodels.default_taxonomy()
-    majors = rolemodels.load_majors(config.majors) if config.majors else rolemodels.default_majors()
+    taxonomy, majors = load_taxonomy_and_majors(config.taxonomy, config.majors)
     loaded = load_candidates(config.candidates, industries=taxonomy.groups)
-    if loaded.errors:
-        first = loaded.errors[0]
-        raise PipelineError(
-            "identify",
-            f"{len(loaded.errors)} bad candidate rows (first: line {first.line}: {first.message})",
-        )
-    result = rolemodels.filter_role_models(loaded.records, taxonomy, majors)
-    rows = []
-    for candidate in result.role_models:
-        row = candidate.to_dict()
-        row["reason"] = result.decisions[candidate.id].reason
-        rows.append(row)
-    write_jsonl(paths["rolemodels"], rows)
-
-
-def _college_ids(paths: Mapping[str, Path]) -> set[str]:
-    return {
-        row["id"] for row in read_jsonl(paths["predicted"])
-        if isinstance(row.get("id"), str) and row.get("college") is True
-    }
-
-
-def _load_rolemodels(paths: Mapping[str, Path]) -> list[CandidateRecord]:
-    return [CandidateRecord.from_dict(row) for row in read_jsonl(paths["rolemodels"])]
+    identify(_checked(loaded, "identify", "candidate"), taxonomy, majors, paths["rolemodels"])
 
 
 def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     students = _students(config, state, "attributes")
-    college = _college_ids(paths)
-    student_pairs = [
-        (record.id, attr.build_profile(record)) for record in students if record.id in college
-    ]
-    attr.write_profiles(paths["student_profiles"], student_pairs)
-
-    candidate_pairs = [
-        (record.id, attr.build_profile(record)) for record in _load_rolemodels(paths)
-    ]
-    attr.write_profiles(paths["rolemodel_profiles"], candidate_pairs)
+    college = {
+        row["id"] for row in read_jsonl(paths["predicted"])
+        if isinstance(row.get("id"), str) and row.get("college") is True
+    }
+    attributes([r for r in students if r.id in college], paths["student_profiles"])
+    attributes(load_rolemodels(paths["rolemodels"]), paths["rolemodel_profiles"])
 
 
 def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     students = attr.load_profiles(paths["student_profiles"])
     candidates = attr.load_profiles(paths["rolemodel_profiles"])
-    state.matches = matching.match_corpus(students, candidates, config.k, config.fuzzy_threshold)
-    matching.write_matches(paths["matches"], state.matches)
+    state.matches = rank(students, candidates, config.k, config.fuzzy_threshold, paths["matches"])
 
 
 def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    labels = labeling.read_labels(paths["labels"])
-    label_counts = {
-        value: sum(1 for v in labels.values() if v == value) for value in labeling.LABEL_VALUES
-    }
-    predicted_rows = read_jsonl(paths["predicted"])
-    model = clf.load_model(paths["model"])
-    rolemodel_rows = read_jsonl(paths["rolemodels"])
-    reason_counts: dict[str, int] = {}
-    for row in rolemodel_rows:
-        reason = row.get("reason", "unknown")
-        reason_counts[reason] = reason_counts.get(reason, 0) + 1
-    results = _matches(paths, state)
-
-    report: dict = {
-        "cohort": {
-            "students": len(predicted_rows),
-            "weak_labels": label_counts,
-            "college": sum(1 for row in predicted_rows if row.get("college") is True),
-            "classifier_college": sum(
-                1 for row in predicted_rows if row.get("predicted") == labeling.COLLEGE
-            ),
-        },
-        "classifier": {
-            "cv_accuracy": model.cv_accuracy,
-            "with_retweet": config.with_retweet,
-            "features": list(model.active_features),
-        },
-        "rolemodels": {"kept": len(rolemodel_rows), "reasons": reason_counts},
-        "matching": {
-            "students_ranked": len(results),
-            "k": config.k,
-            "fuzzy_threshold": config.fuzzy_threshold,
-            "no_signal_students": sum(1 for r in results if r.all_no_signal()),
-        },
-    }
+    annotations = None
     if config.annotations is not None:
         annotations = matching.load_annotations(config.annotations)
-        report["evaluation"] = {
-            level: matching.evaluate(
-                results, annotations, level, config.top10_cities, config.k
-            ).to_dict()
-            for level in matching.LEVELS
-        }
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
-    paths["report"].write_text(text + "\n", encoding="utf-8", newline="\n")
+    report(
+        _matches(paths, state), paths["labels"], paths["predicted"], paths["model"],
+        paths["rolemodels"], paths["report"], k=config.k,
+        fuzzy_threshold=config.fuzzy_threshold, with_retweet=config.with_retweet,
+        annotations=annotations, top10_cities=config.top10_cities,
+    )
 
 
 def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    names = _display_names(config, state)
-    candidates = {r.id: r for r in _load_rolemodels(paths)}
-    results = [r for r in _matches(paths, state) if r.ranked]
-    pages_mod.write_pages(
-        results, names, candidates, paths["pages"],
-        survey_url=config.survey_url, url_template=config.profile_url_template,
-    )
+    pages(_matches(paths, state), _display_names(config, state),
+          load_rolemodels(paths["rolemodels"]), paths["pages"],
+          config.survey_url, config.profile_url_template)
 
 
 _STAGE_FUNCS = {
@@ -395,5 +465,5 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> PipelineResult
                 raise PipelineError(stage, str(exc)) from exc
         if stage == "attributes":
             state.release_students()
-    report = json.loads(paths["report"].read_text(encoding="utf-8"))
-    return PipelineResult(paths=paths, report=report, skipped=skipped)
+    summary = json.loads(paths["report"].read_text(encoding="utf-8"))
+    return PipelineResult(paths=paths, report=summary, skipped=skipped)

@@ -424,42 +424,3 @@ def default_industry_names() -> frozenset[str]:
         if line.strip():
             names.add(_norm_key(json.loads(line)["industry"]))
     return frozenset(names)
-
-
-_NAME_TABLE: dict | None = None
-
-
-def _name_table() -> dict:
-    global _NAME_TABLE
-    if _NAME_TABLE is None:
-        _NAME_TABLE = json.loads(_data_text("name_lookup.json"))
-    return _NAME_TABLE
-
-
-def predict_from_name(full_name: str) -> tuple[PredictorOutput, ...]:
-    """Offline name-based predictor: given name → gender, surname → race.
-
-    Stands in for the live name services; every lookup miss produces a
-    null prediction so the resolution step can tell "service had no
-    answer" apart from "service was never consulted".
-    """
-    table = _name_table()
-    parts = full_name.split()
-    given = parts[0].casefold() if parts else ""
-    surname = parts[-1].casefold() if len(parts) > 1 else ""
-
-    gender_row = table["given"].get(given)
-    race_row = table["surname"].get(surname)
-    gender = PredictorOutput(
-        source="name-gender",
-        attribute="gender",
-        value=gender_row[0] if gender_row else None,
-        accuracy=gender_row[1] if gender_row else None,
-    )
-    race = PredictorOutput(
-        source="name-demographics",
-        attribute="race",
-        value=race_row[0] if race_row else None,
-        accuracy=race_row[1] if race_row else None,
-    )
-    return (gender, race)

@@ -2,12 +2,14 @@
 
 Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
-matching, a per-pair full sort for ranking, and a per-character range
-test for emoji, so agreement is evidence rather than tautology.
+matching, a per-pair full sort for ranking, a per-character range
+test for emoji, and separate HAHA and LOL searches for laughter, so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from stem_match.classifier import EMOJI_RANGES
@@ -78,3 +80,12 @@ def full_sort_rank(student_id, student, candidates, k, threshold):
 def contains_emoji(text: str) -> bool:
     """Test every character of ``text`` against every emoji range."""
     return any(lo <= ord(ch) <= hi for ch in text for lo, hi in EMOJI_RANGES)
+
+
+_HAHA = re.compile(r"\b(?:HA){2,}H?\b")
+_LOL = re.compile(r"\bLO+L\b")
+
+
+def contains_hahalol(text: str) -> bool:
+    """Search ``text`` for a HAHA token, then separately for a LOL token."""
+    return _HAHA.search(text) is not None or _LOL.search(text) is not None

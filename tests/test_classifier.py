@@ -95,6 +95,39 @@ def test_hahalol_is_case_sensitive_and_token_bounded():
     assert not contains_hahalol("LOLLY")        # must end at a boundary
 
 
+HAHALOL_EDGES = ["HAHA", "HAHAH", "HAHAHH", "HA", "HAH", "AHA", "LOL", "LOOOL", "LL", "LOLOL",
+                 "xLOL", "LOLx", "HAHA_", "_HAHA", "HAHA!", "HALOL", "HAHALOL", "LOL HA",
+                 "\u00e9HAHA", "HAHA\u00e9", "\u00e9LOL", "LOL\u00e9", "\u4e2dLOL", "", " "]
+
+
+@pytest.mark.parametrize("filler", ["", " ", "x", "!", "_", "\u00e9", " and then "])
+def test_hahalol_agrees_with_the_two_regex_oracle_on_edge_strings(filler):
+    for edge in HAHALOL_EDGES:
+        for text in (edge, filler + edge, edge + filler, filler + edge + filler,
+                     edge + filler + "LOL", "HAHA" + filler + edge):
+            assert contains_hahalol(text) == oracles.contains_hahalol(text), repr(text)
+
+
+def test_hahalol_agrees_with_the_two_regex_oracle_on_random_strings():
+    rng = random.Random(17)
+    pieces = ["HA", "H", "A", "LO", "L", "O", " ", "x", "!", "_", "\u00e9"]
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+        assert contains_hahalol(text) == oracles.contains_hahalol(text), repr(text)
+
+
+def test_extract_features_hahalol_counts_match_the_oracle_on_a_synthetic_corpus():
+    population = generate_population(SynthConfig(seed=5, n_students=200, n_candidates=0))
+    with_tweets = [record for record in population.students if record.tweets]
+    assert any(oracles.contains_hahalol(t) for r in with_tweets for t in r.tweets)
+    for record in with_tweets:
+        total = len(record.tweets)
+        count = sum(1 for t in record.tweets if oracles.contains_hahalol(t))
+        features = extract_features(record)
+        assert features.raw_frequencies[2] == count / total, record.id
+        assert features.hahalol_bin == min(10 * count // total, 9), record.id
+
+
 def test_hashtag_and_retweet_predicates():
     assert contains_hashtag("big #news today")
     assert not contains_hashtag("no tags # alone")

@@ -88,6 +88,38 @@ def test_pipeline_command_runs_from_a_config_file(corpus, tmp_path):
     assert main(["pipeline", "--config", str(config_path), "--resume"]) == 0
 
 
+def test_stage_commands_write_the_same_bytes_as_a_pipeline_run(tmp_path):
+    # 120 students give at least 20 weak labels of each class, so the
+    # classifier cross-validates and model.txt records a CV accuracy
+    synth_config = tmp_path / "synth.json"
+    synth_config.write_text(json.dumps({
+        "seed": 31, "n_students": 120, "n_candidates": 90, "planted_fraction": 0.5,
+    }), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(synth_config), "--out-dir", str(data)]) == 0
+    students, candidates = str(data / "students.jsonl"), str(data / "candidates.jsonl")
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({
+        "students": students, "candidates": candidates, "out_dir": str(tmp_path / "pipeline"),
+    }), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    report = json.loads((tmp_path / "pipeline" / "report.json").read_text(encoding="utf-8"))
+    assert report["classifier"]["cv_accuracy"] is not None
+
+    out = tmp_path / "cli"
+    assert main(["label", "--students", students, "--out", str(out / "labels.jsonl")]) == 0
+    assert main(["classify", "--train", str(out / "labels.jsonl"), "--students", students,
+                 "--model-out", str(out / "model.txt"),
+                 "--out", str(out / "predicted.jsonl")]) == 0
+    assert main(["identify", "--candidates", candidates,
+                 "--out", str(out / "rolemodels.jsonl")]) == 0
+    assert main(["attributes", "--in", str(out / "rolemodels.jsonl"), "--kind", "candidate",
+                 "--out", str(out / "rolemodel_profiles.jsonl")]) == 0
+    for name in ("labels.jsonl", "model.txt", "predicted.jsonl", "rolemodels.jsonl",
+                 "rolemodel_profiles.jsonl"):
+        assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+
+
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
     code = main(["label", "--students", str(tmp_path / "absent.jsonl"),
                  "--out", str(tmp_path / "labels.jsonl")])

@@ -8,16 +8,11 @@ from stem_match.pages import (
     PageError,
     PageSpec,
     build_page_spec,
-    generate_page,
     render_page,
     write_pages,
 )
-from stem_match.records import CandidateRecord, StudentRecord
+from stem_match.records import CandidateRecord
 from stem_match.similarity import SimilarityBreakdown
-
-
-def student(sid="s1", name="Jordan Lee"):
-    return StudentRecord(id=sid, tweets=("hello",), bio="student", display_name=name)
 
 
 def candidate(cid, name=None, industry="Computer Software", location="Dallas, TX"):
@@ -40,7 +35,7 @@ def candidates_by_id(*records):
 
 def test_build_page_spec_collects_entries_in_rank_order():
     mapping = candidates_by_id(candidate("c2"), candidate("c1"))
-    spec = build_page_spec(result_for("s1", ["c2", "c1"]), student(), mapping)
+    spec = build_page_spec(result_for("s1", ["c2", "c1"]), "Jordan Lee", mapping)
     assert [entry.display_name for entry in spec.entries] == ["Candidate c2", "Candidate c1"]
     assert spec.entries[0].profile_url == PROFILE_URL_TEMPLATE.format(id="c2")
     assert spec.greeting_name == "Jordan Lee"
@@ -48,18 +43,18 @@ def test_build_page_spec_collects_entries_in_rank_order():
 
 def test_build_page_spec_requires_every_ranked_candidate():
     with pytest.raises(PageError) as err:
-        build_page_spec(result_for("s1", ["ghost"]), student(), {})
+        build_page_spec(result_for("s1", ["ghost"]), "Jordan Lee", {})
     assert "ghost" in str(err.value)
 
 
 def test_build_page_spec_rejects_empty_results():
     with pytest.raises(PageError):
-        build_page_spec(MatchResult("s1", ()), student(), {})
+        build_page_spec(MatchResult("s1", ()), "Jordan Lee", {})
 
 
 def test_blank_candidate_name_falls_back_to_id():
     mapping = candidates_by_id(candidate("c1", name="  "))
-    spec = build_page_spec(result_for("s1", ["c1"]), student(), mapping)
+    spec = build_page_spec(result_for("s1", ["c1"]), "Jordan Lee", mapping)
     assert spec.entries[0].display_name == "c1"
 
 
@@ -67,7 +62,7 @@ def test_page_spec_validates_urls():
     with pytest.raises(PageError):
         build_page_spec(
             result_for("s1", ["c1"]),
-            student(),
+            "Jordan Lee",
             candidates_by_id(candidate("c1")),
             url_template="javascript:alert({id})",
         )
@@ -77,12 +72,12 @@ def test_page_spec_validates_urls():
 
 def test_rendered_page_has_one_link_per_entry_plus_survey():
     mapping = candidates_by_id(candidate("c1"), candidate("c2"), candidate("c3"))
-    html_text = generate_page(
+    html_text = render_page(build_page_spec(
         result_for("s1", ["c1", "c2", "c3"]),
-        student(),
+        "Jordan Lee",
         mapping,
         survey_url="https://example.com/survey",
-    )
+    ))
     assert html_text.count("<li>") == 3
     assert html_text.count("<a href=") == 4  # three profiles + the survey
     assert "https://example.com/survey" in html_text
@@ -91,7 +86,7 @@ def test_rendered_page_has_one_link_per_entry_plus_survey():
 
 def test_rendered_page_without_survey_has_no_survey_link():
     mapping = candidates_by_id(candidate("c1"))
-    html_text = generate_page(result_for("s1", ["c1"]), student(), mapping)
+    html_text = render_page(build_page_spec(result_for("s1", ["c1"]), "Jordan Lee", mapping))
     assert html_text.count("<a href=") == 1
     assert 'class="survey"' not in html_text
 
@@ -100,11 +95,7 @@ def test_everything_user_controlled_is_escaped():
     mapping = candidates_by_id(
         candidate("c1", name='<script>alert("x")</script>', industry='A & B "quoted"')
     )
-    html_text = generate_page(
-        result_for("s1", ["c1"]),
-        student(name="Sam <b>Bold</b>"),
-        mapping,
-    )
+    html_text = render_page(build_page_spec(result_for("s1", ["c1"]), "Sam <b>Bold</b>", mapping))
     assert "<script>" not in html_text
     assert "&lt;script&gt;" in html_text
     assert "<b>Bold</b>" not in html_text
@@ -113,7 +104,7 @@ def test_everything_user_controlled_is_escaped():
 
 def test_render_is_deterministic():
     mapping = candidates_by_id(candidate("c1"), candidate("c2"))
-    spec = build_page_spec(result_for("s1", ["c1", "c2"]), student(), mapping,
+    spec = build_page_spec(result_for("s1", ["c1", "c2"]), "Jordan Lee", mapping,
                            survey_url="https://example.com/s")
     assert render_page(spec) == render_page(spec)
 

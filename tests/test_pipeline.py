@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from stem_match import pipeline
+from stem_match.pages import PROFILE_URL_TEMPLATE
 from stem_match.pipeline import (
     STAGES,
     PipelineConfig,
@@ -176,6 +177,31 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
             base_dir=tmp_path,
         )
     assert "mystery" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "5"), ("k", True), ("seed", 1.5), ("epochs", None), ("cv_folds", "3"),
+    ("lam", "0.1"), ("fuzzy_threshold", False), ("with_retweet", "no"), ("with_retweet", 0),
+    ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
+    ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
+])
+def test_config_rejects_values_of_the_wrong_type(key, value):
+    data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}
+    with pytest.raises(ValueError, match=repr(key)):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_takes_ints_as_numbers_and_null_as_the_default(tmp_path):
+    config = PipelineConfig.from_dict({
+        "students": "a", "candidates": "b", "out_dir": "c", "lam": 1, "fuzzy_threshold": 1,
+        "annotations": None, "survey_url": None, "profile_url_template": None,
+        "top10_cities": ["Boston, MA"],
+    }, base_dir=tmp_path)
+    assert (config.lam, config.fuzzy_threshold) == (1, 1)
+    assert config.annotations is None and config.survey_url is None
+    assert config.profile_url_template == PROFILE_URL_TEMPLATE
+    assert config.top10_cities == ("Boston, MA",)
+    assert config.students == tmp_path / "a"
 
 
 def test_config_load_resolves_paths_against_the_config_file(tmp_path, corpus):

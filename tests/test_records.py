@@ -1,4 +1,4 @@
-"""Record validation, JSONL ingestion, and the name-based predictors."""
+"""Record validation and JSONL ingestion."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from stem_match.records import (
     StudentRecord,
     load_candidates,
     load_students,
-    predict_from_name,
     read_jsonl,
     write_jsonl,
 )
@@ -234,26 +233,3 @@ def test_profile_serialization_sorts_interests():
     data = profile.to_dict()
     assert data["interests"] == ["alpha", "mid", "zeta"]
     assert AttributeProfile.from_dict(data) == profile
-
-
-# ---------------------------------------------------------------------------
-# Name-based predictors
-# ---------------------------------------------------------------------------
-
-
-def test_predict_from_name_known_name():
-    outputs = predict_from_name("Maria Garcia")
-    by_source = {o.source: o for o in outputs}
-    assert by_source["name-gender"].value == "female"
-    assert by_source["name-demographics"].value == "Hispanic"
-    for output in outputs:
-        assert output.accuracy is not None and 0.0 <= output.accuracy <= 1.0
-
-
-def test_predict_from_name_unknown_name_abstains():
-    outputs = predict_from_name("Zzyzx Qwerty")
-    assert all(o.value is None and o.accuracy is None for o in outputs)
-
-
-def test_predict_from_name_is_case_insensitive():
-    assert predict_from_name("maria garcia") == predict_from_name("MARIA GARCIA")
