@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import attributes as attr
 from . import classifier as clf
+from . import labeling
 from . import matching
 from . import pipeline as pipeline_mod
 from . import synthetic
@@ -41,9 +42,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     students = _records(load_students(args.students), args.students)
     config = clf.TrainConfig(seed=args.seed, epochs=args.epochs, lam=args.lam,
                              with_retweet=args.with_retweet)
-    result = pipeline_mod.classify(students, args.train, config, pipeline_mod.DEFAULT_CV_FOLDS,
-                                   args.out, args.model_out)
-    print(f"trained on {result.trained} students, predicted {result.predicted}")
+    result = pipeline_mod.classify(students, labeling.read_labels(args.train), config,
+                                   pipeline_mod.DEFAULT_CV_FOLDS, args.out, args.model_out)
+    predicted = sum("predicted" in row for row in result.rows)
+    print(f"trained on {result.trained} students, predicted {predicted}")
     return 0
 
 
@@ -61,8 +63,8 @@ def _cmd_attributes(args: argparse.Namespace) -> int:
         records = _records(load_students(args.in_path), args.in_path)
     else:
         records = pipeline_mod.load_rolemodels(args.in_path)
-    count = pipeline_mod.attributes(records, args.out)
-    print(f"wrote {count} {args.kind} profiles")
+    profiles = pipeline_mod.attributes(records, args.out)
+    print(f"wrote {len(profiles)} {args.kind} profiles")
     return 0
 
 
@@ -132,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--with-retweet", action="store_true")
     p.add_argument("--model-out", default=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lam", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=clf.TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=clf.TrainConfig.epochs)
+    p.add_argument("--lam", type=float, default=clf.TrainConfig.lam)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("identify", help="filter candidates down to STEM role models")

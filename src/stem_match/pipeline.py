@@ -1,25 +1,25 @@
 """End-to-end orchestration: label → classify → identify → attributes → rank → report → pages.
 
-Each stage is one public function over parsed inputs and explicit paths,
-which ``run_pipeline`` and the CLI subcommands both call.  Loading inputs
-is the caller's: a pipeline run rejects bad rows, the CLI skips them.
-Each stage writes its outputs under the configured output directory, so
-any stage can be rerun standalone and a rerun over unchanged inputs
-reproduces its outputs byte for byte.  Within one ``run_pipeline`` call
-the stages also hand parsed data to each other through a ``RunState``:
-the students file is parsed once, and the rank stage's results go to the
-report and pages stages without a round trip through ``matches.jsonl``.
-A stage whose input is not in the state (run standalone, or after
-``resume=True`` skipped the stage that produces it) reads the artifact
-from disk.  ``resume=True`` skips stages whose outputs already exist.
+Each stage is one public function over parsed inputs and explicit output
+paths that returns what it wrote; ``run_pipeline`` and the CLI subcommands
+both call it.  Loading inputs is the caller's: a pipeline run rejects bad
+rows, the CLI skips them.  Each stage writes its outputs under the
+configured output directory, so any stage can be rerun standalone and a
+rerun over unchanged inputs reproduces its outputs byte for byte.  Within
+one ``run_pipeline`` call the stages hand their parsed artifacts to each
+other through a ``RunState``: the students file is parsed once, and a run
+reads back none of the files it writes.  ``resume=True`` skips stages whose
+outputs already exist; an artifact of a skipped stage is loaded from its
+file.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import attributes as attr
 from . import classifier as clf
@@ -46,22 +46,35 @@ class PipelineError(RuntimeError):
 
 _STR = (lambda v: isinstance(v, str), "a string")
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
-_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
 
-# Config key -> (accepts(value), what it must be).  A null optional key
-# takes the field's default.
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Config key -> (accepts(value), what it must be).  ``__post_init__`` checks
+# the values, ``from_dict`` the path keys before they become paths.
 _CONFIG_KEYS = {
     **dict.fromkeys(("students", "candidates", "out_dir"), _STR),
-    **dict.fromkeys(("annotations", "rules", "taxonomy", "majors", "survey_url",
-                     "profile_url_template"), _OPTIONAL_STR),
-    **dict.fromkeys(("k", "seed", "epochs", "cv_folds"), _INT),
-    **dict.fromkeys(("fuzzy_threshold", "lam"), _NUMBER),
+    **dict.fromkeys(("annotations", "rules", "taxonomy", "majors", "survey_url"), _OPTIONAL_STR),
+    "profile_url_template": _STR,
+    **dict.fromkeys(("seed", "epochs"), (_is_int, "an integer")),
+    "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "fuzzy_threshold": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+                        "a number within [0, 1]"),
+    "lam": (lambda v: (_is_int(v) or isinstance(v, float)) and v > 0, "a number > 0"),
     "with_retweet": (lambda v: isinstance(v, bool), "true or false"),
-    "top10_cities": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+    "top10_cities": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v),
                      "a list of strings"),
 }
 _PATH_KEYS = ("students", "candidates", "out_dir", "annotations", "rules", "taxonomy", "majors")
+
+
+def _check(key: str, value) -> None:
+    accepts, kind = _CONFIG_KEYS[key]
+    if not accepts(value):
+        raise ValueError(f"pipeline config key {key!r} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,8 @@ class PipelineConfig:
     """Declarative run configuration.
 
     Relative paths are resolved against the directory of the config file
-    they were loaded from (the current directory when built in code).
+    they were loaded from (the current directory when built in code).  A
+    ``profile_url_template`` of None takes the default template.
     """
 
     students: Path
@@ -82,19 +96,21 @@ class PipelineConfig:
     k: int = matching.DEFAULT_K
     fuzzy_threshold: float = matching.DEFAULT_FUZZY_THRESHOLD
     with_retweet: bool = False
-    seed: int = 42
-    epochs: int = 200
-    lam: float = 0.01
+    seed: int = clf.TrainConfig.seed
+    epochs: int = clf.TrainConfig.epochs
+    lam: float = clf.TrainConfig.lam
     cv_folds: int = DEFAULT_CV_FOLDS
     survey_url: str | None = None
     profile_url_template: str = pages_mod.PROFILE_URL_TEMPLATE
     top10_cities: tuple[str, ...] = matching.DEFAULT_TOP10_CITIES
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.profile_url_template is None:
+            object.__setattr__(self, "profile_url_template", pages_mod.PROFILE_URL_TEMPLATE)
+        for key in _CONFIG_KEYS:
+            if key not in _PATH_KEYS:
+                _check(key, getattr(self, key))
+        object.__setattr__(self, "top10_cities", tuple(self.top10_cities))
 
     @classmethod
     def from_dict(cls, data: Mapping, base_dir: str | Path = ".") -> "PipelineConfig":
@@ -106,18 +122,12 @@ class PipelineConfig:
         for required in ("students", "candidates", "out_dir"):
             if required not in data:
                 raise ValueError(f"pipeline config is missing {required!r}")
-        kwargs: dict = {}
-        for key, value in data.items():
-            accepts, kind = _CONFIG_KEYS[key]
-            if not accepts(value):
-                raise ValueError(f"pipeline config key {key!r} must be {kind}, got {value!r}")
-            if value is not None:
-                kwargs[key] = value
+        kwargs = dict(data)
         for key in _PATH_KEYS:
-            if key in kwargs:
-                kwargs[key] = Path(base_dir) / kwargs[key]
-        if "top10_cities" in kwargs:
-            kwargs["top10_cities"] = tuple(kwargs["top10_cities"])
+            if key in data:
+                _check(key, data[key])
+                if data[key] is not None:
+                    kwargs[key] = Path(base_dir) / data[key]
         return cls(**kwargs)
 
     @classmethod
@@ -153,23 +163,26 @@ class PipelineResult:
     skipped: list[str] = field(default_factory=list)
 
 
-@dataclass
-class RunState:
-    """Parsed data that one run hands from stage to stage.
+class RunState(dict):
+    """The parsed artifacts that one run hands from stage to stage, by name.
 
-    A field stays None until a stage of this run fills it.  ``students``
-    is released after the attributes stage; later stages need only
-    ``display_names`` (student id → display name).
+    A stage stores each artifact it writes as ``state[name]``.  A later stage
+    reads it back, or ``pop``s it when it is the last reader, so that it can
+    be freed.  An artifact that no stage of this run stored is loaded by
+    ``_LOADERS``.
     """
 
-    students: list[StudentRecord] | None = None
-    display_names: dict[str, str] | None = None
-    matches: list[MatchResult] | None = None
+    def __init__(self, config: PipelineConfig, paths: Mapping[str, Path]):
+        super().__init__()
+        self.config = config
+        self.paths = paths
 
-    def release_students(self) -> None:
-        if self.students is not None:
-            self.display_names = {r.id: r.display_name for r in self.students}
-            self.students = None
+    def __missing__(self, name: str):
+        value = self[name] = _LOADERS[name](self)
+        return value
+
+    def pop(self, name: str):
+        return super().pop(name) if name in self else _LOADERS[name](self)
 
 
 def label(students: Sequence[StudentRecord], rules_path: str | Path | None,
@@ -183,22 +196,21 @@ def label(students: Sequence[StudentRecord], rules_path: str | Path | None,
 
 @dataclass(frozen=True)
 class ClassifyResult:
-    """The trained model and how many students it was trained on and predicted."""
+    """The trained model, how many students it was trained on, and the predicted-file rows."""
 
     model: clf.ClassifierModel
     trained: int
-    predicted: int
+    rows: list[dict]
 
 
-def classify(students: Sequence[StudentRecord], labels_path: str | Path,
+def classify(students: Sequence[StudentRecord], labels: Mapping[str, str],
              train_config: clf.TrainConfig, cv_folds: int, predicted_out: str | Path,
              model_out: str | Path | None) -> ClassifyResult:
-    """Train on the weak labels at ``labels_path`` and predict the unlabeled students.
+    """Train on the weak ``labels`` (student id → label) and predict the unlabeled students.
 
     Students with tweets and a college / non-college weak label are the
     training set.  The model is saved to ``model_out`` unless it is None.
     """
-    labels = labeling.read_labels(labels_path)
     train_records = [
         record for record in students
         if record.tweets and labels.get(record.id) in (labeling.COLLEGE, labeling.NON_COLLEGE)
@@ -221,20 +233,18 @@ def classify(students: Sequence[StudentRecord], labels_path: str | Path,
         clf.save_model(model, model_out)
 
     rows = []
-    n_predicted = 0
     for record in students:
         weak = labels.get(record.id, labeling.UNLABELED)
         predicted = None
         if weak == labeling.UNLABELED and record.tweets:
             predicted = clf.infer(model, clf.extract_features(record, train_config.with_retweet))
-            n_predicted += 1
         college = weak == labeling.COLLEGE or predicted == labeling.COLLEGE
         row = {"id": record.id, "weak_label": weak, "college": college}
         if predicted is not None:
             row["predicted"] = predicted
         rows.append(row)
     write_jsonl(predicted_out, rows)
-    return ClassifyResult(model, len(train_records), n_predicted)
+    return ClassifyResult(model, len(train_records), rows)
 
 
 def load_taxonomy_and_majors(taxonomy_path: str | Path | None, majors_path: str | Path | None
@@ -263,11 +273,12 @@ def load_rolemodels(path: str | Path) -> list[CandidateRecord]:
     return [CandidateRecord.from_dict(row) for row in read_jsonl(path)]
 
 
-def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path) -> int:
-    """Write one resolved attribute profile per record; returns how many."""
+def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path
+               ) -> list[tuple[str, AttributeProfile]]:
+    """Write one resolved attribute profile per record; returns the (id, profile) pairs."""
     pairs = [(record.id, attr.build_profile(record)) for record in records]
     attr.write_profiles(profiles_out, pairs)
-    return len(pairs)
+    return pairs
 
 
 def rank(student_profiles: Sequence[tuple[str, AttributeProfile]],
@@ -279,23 +290,16 @@ def rank(student_profiles: Sequence[tuple[str, AttributeProfile]],
     return results
 
 
-def report(results: Sequence[MatchResult], labels_path: str | Path, predicted_path: str | Path,
-           model_path: str | Path, rolemodels_path: str | Path, report_out: str | Path, *,
+def report(results: Sequence[MatchResult], labels: Mapping[str, str],
+           predicted_rows: Sequence[Mapping], model: clf.ClassifierModel,
+           reasons: Sequence[str], report_out: str | Path, *,
            k: int, fuzzy_threshold: float, with_retweet: bool,
-           annotations: Sequence[GroundTruthAnnotation] | None,
+           annotations: Mapping[str, GroundTruthAnnotation] | None,
            top10_cities: Sequence[str]) -> dict:
     """Summarize a run's artifacts, plus accuracy per level when annotated."""
-    labels = labeling.read_labels(labels_path)
     label_counts = {
         value: sum(1 for v in labels.values() if v == value) for value in labeling.LABEL_VALUES
     }
-    predicted_rows = read_jsonl(predicted_path)
-    model = clf.load_model(model_path)
-    rolemodel_rows = read_jsonl(rolemodels_path)
-    reason_counts: dict[str, int] = {}
-    for row in rolemodel_rows:
-        reason = row.get("reason", "unknown")
-        reason_counts[reason] = reason_counts.get(reason, 0) + 1
 
     summary: dict = {
         "cohort": {
@@ -311,7 +315,7 @@ def report(results: Sequence[MatchResult], labels_path: str | Path, predicted_pa
             "with_retweet": with_retweet,
             "features": list(model.active_features),
         },
-        "rolemodels": {"kept": len(rolemodel_rows), "reasons": reason_counts},
+        "rolemodels": {"kept": len(reasons), "reasons": dict(Counter(reasons))},
         "matching": {
             "students_ranked": len(results),
             "k": k,
@@ -339,97 +343,87 @@ def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
     )
 
 
-def _stage_outputs(paths: Mapping[str, Path], stage: str) -> list[Path]:
-    by_stage = {
-        "label": ["labels"],
-        "classify": ["model", "predicted"],
-        "identify": ["rolemodels"],
-        "attributes": ["student_profiles", "rolemodel_profiles"],
-        "rank": ["matches"],
-        "report": ["report"],
-        "pages": ["pages"],
-    }
-    return [paths[name] for name in by_stage[stage]]
-
-
-def _checked(loaded: LoadResult, stage: str, kind: str) -> list:
+def _checked(loaded: LoadResult, kind: str) -> list:
     if loaded.errors:
         first = loaded.errors[0]
-        raise PipelineError(
-            stage, f"{len(loaded.errors)} bad {kind} rows (first: line {first.line}: {first.message})"
-        )
+        raise ValueError(f"{len(loaded.errors)} bad {kind} rows "
+                         f"(first: line {first.line}: {first.message})")
     return list(loaded.records)
 
 
-def _students(config: PipelineConfig, state: RunState, stage: str) -> list[StudentRecord]:
-    if state.students is None:
-        state.students = _checked(load_students(config.students), stage, "student")
-    return state.students
-
-
-def _display_names(config: PipelineConfig, state: RunState) -> dict[str, str]:
-    if state.display_names is None:
-        _students(config, state, "pages")
-        state.release_students()
-    return state.display_names
-
-
-def _matches(paths: Mapping[str, Path], state: RunState) -> list[MatchResult]:
-    if state.matches is None:
-        state.matches = matching.load_matches(paths["matches"])
-    return state.matches
+# Artifact name -> how a run loads it when no stage of the run stored it.
+# Layer functions are looked up through their modules at call time, so
+# wrappers that rebind module attributes see these calls.
+_LOADERS: dict[str, Callable[[RunState], object]] = {
+    "students": lambda s: _checked(load_students(s.config.students), "student"),
+    "display_names": lambda s: {r.id: r.display_name for r in s.pop("students")},
+    "labels": lambda s: labeling.read_labels(s.paths["labels"]),
+    "model": lambda s: clf.load_model(s.paths["model"]),
+    "predicted": lambda s: read_jsonl(s.paths["predicted"]),
+    "rolemodels": lambda s: load_rolemodels(s.paths["rolemodels"]),
+    "reasons": lambda s: [row.get("reason", "unknown")
+                          for row in read_jsonl(s.paths["rolemodels"])],
+    "student_profiles": lambda s: attr.load_profiles(s.paths["student_profiles"]),
+    "rolemodel_profiles": lambda s: attr.load_profiles(s.paths["rolemodel_profiles"]),
+    "matches": lambda s: matching.load_matches(s.paths["matches"]),
+    "report": lambda s: json.loads(s.paths["report"].read_text(encoding="utf-8")),
+}
 
 
 def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    label(_students(config, state, "label"), config.rules, paths["labels"])
+    partition = label(state["students"], config.rules, paths["labels"])
+    state["labels"] = {sid: weak.value for sid, weak in partition.labels.items()}
 
 
 def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     train_config = clf.TrainConfig(
         seed=config.seed, epochs=config.epochs, lam=config.lam, with_retweet=config.with_retweet
     )
-    classify(_students(config, state, "classify"), paths["labels"], train_config,
-             config.cv_folds, paths["predicted"], paths["model"])
+    result = classify(state["students"], state["labels"], train_config, config.cv_folds,
+                      paths["predicted"], paths["model"])
+    state["model"], state["predicted"] = result.model, result.rows
 
 
 def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     taxonomy, majors = load_taxonomy_and_majors(config.taxonomy, config.majors)
     loaded = load_candidates(config.candidates, industries=taxonomy.groups)
-    identify(_checked(loaded, "identify", "candidate"), taxonomy, majors, paths["rolemodels"])
+    result = identify(_checked(loaded, "candidate"), taxonomy, majors, paths["rolemodels"])
+    state["rolemodels"] = result.role_models
+    state["reasons"] = [result.decisions[c.id].reason for c in result.role_models]
 
 
 def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    students = _students(config, state, "attributes")
     college = {
-        row["id"] for row in read_jsonl(paths["predicted"])
+        row["id"] for row in state["predicted"]
         if isinstance(row.get("id"), str) and row.get("college") is True
     }
-    attributes([r for r in students if r.id in college], paths["student_profiles"])
-    attributes(load_rolemodels(paths["rolemodels"]), paths["rolemodel_profiles"])
+    students = state.pop("students")
+    state["student_profiles"] = attributes([r for r in students if r.id in college],
+                                           paths["student_profiles"])
+    state["rolemodel_profiles"] = attributes(state["rolemodels"], paths["rolemodel_profiles"])
+    state["display_names"] = {r.id: r.display_name for r in students}
 
 
 def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    students = attr.load_profiles(paths["student_profiles"])
-    candidates = attr.load_profiles(paths["rolemodel_profiles"])
-    state.matches = rank(students, candidates, config.k, config.fuzzy_threshold, paths["matches"])
+    state["matches"] = rank(state.pop("student_profiles"), state.pop("rolemodel_profiles"),
+                            config.k, config.fuzzy_threshold, paths["matches"])
 
 
 def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     annotations = None
     if config.annotations is not None:
         annotations = matching.load_annotations(config.annotations)
-    report(
-        _matches(paths, state), paths["labels"], paths["predicted"], paths["model"],
-        paths["rolemodels"], paths["report"], k=config.k,
+    state["report"] = report(
+        state["matches"], state.pop("labels"), state.pop("predicted"), state.pop("model"),
+        state.pop("reasons"), paths["report"], k=config.k,
         fuzzy_threshold=config.fuzzy_threshold, with_retweet=config.with_retweet,
         annotations=annotations, top10_cities=config.top10_cities,
     )
 
 
 def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    pages(_matches(paths, state), _display_names(config, state),
-          load_rolemodels(paths["rolemodels"]), paths["pages"],
-          config.survey_url, config.profile_url_template)
+    pages(state.pop("matches"), state.pop("display_names"), state.pop("rolemodels"),
+          paths["pages"], config.survey_url, config.profile_url_template)
 
 
 _STAGE_FUNCS = {
@@ -442,28 +436,30 @@ _STAGE_FUNCS = {
     "pages": _stage_pages,
 }
 
-
-def _outputs_exist(paths: Mapping[str, Path], stage: str) -> bool:
-    return all(p.exists() for p in _stage_outputs(paths, stage))
+# Stage -> the artifacts it writes; ``resume`` skips a stage when they all exist.
+_OUTPUTS = {
+    "label": ("labels",),
+    "classify": ("model", "predicted"),
+    "identify": ("rolemodels",),
+    "attributes": ("student_profiles", "rolemodel_profiles"),
+    "rank": ("matches",),
+    "report": ("report",),
+    "pages": ("pages",),
+}
 
 
 def run_pipeline(config: PipelineConfig, resume: bool = False) -> PipelineResult:
     """Run all stages in order; raises PipelineError naming a failed stage."""
     paths = config.artifact_paths()
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    state = RunState()
+    state = RunState(config, paths)
     skipped = []
     for stage in STAGES:
-        if resume and _outputs_exist(paths, stage):
+        if resume and all(paths[name].exists() for name in _OUTPUTS[stage]):
             skipped.append(stage)
-        else:
-            try:
-                _STAGE_FUNCS[stage](config, paths, state)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(stage, str(exc)) from exc
-        if stage == "attributes":
-            state.release_students()
-    summary = json.loads(paths["report"].read_text(encoding="utf-8"))
-    return PipelineResult(paths=paths, report=summary, skipped=skipped)
+            continue
+        try:
+            _STAGE_FUNCS[stage](config, paths, state)
+        except Exception as exc:
+            raise PipelineError(stage, str(exc)) from exc
+    return PipelineResult(paths=paths, report=state.pop("report"), skipped=skipped)

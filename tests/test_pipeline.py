@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -103,30 +104,75 @@ def test_rerun_from_scratch_is_byte_identical(tmp_path, corpus):
     assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
 
 
+NO_LOADS = dict(load_students=0, read_labels=0, load_model=0, load_profiles=0,
+                load_rolemodels=0, load_matches=0, read_jsonl=0)
+
+
 @pytest.fixture
-def load_counts(monkeypatch):
-    counts = {"load_students": 0, "load_matches": 0}
+def load_counts(monkeypatch, tmp_path):
+    """Counts the loads of the students file and of every artifact a run
+    writes; ``read_jsonl`` counts only paths under ``tmp_path``, where the
+    tests write their runs."""
+    counts = dict(NO_LOADS)
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def count(module, name, counted=lambda path: True):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(pipeline, "load_students", counting("load_students", pipeline.load_students))
-    monkeypatch.setattr(pipeline.matching, "load_matches",
-                        counting("load_matches", pipeline.matching.load_matches))
+        def wrapper(path, *args, **kwargs):
+            counts[name] += counted(path)
+            return fn(path, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((pipeline, "load_students"), (pipeline.labeling, "read_labels"),
+                         (pipeline.clf, "load_model"), (pipeline.attr, "load_profiles"),
+                         (pipeline, "load_rolemodels"), (pipeline.matching, "load_matches")):
+        count(module, name)
+    count(pipeline, "read_jsonl", lambda path: tmp_path in Path(path).parents)
     return counts
 
 
 def test_one_run_parses_students_once_and_never_reads_matches_back(tmp_path, corpus, load_counts):
     run_pipeline(make_config(corpus, tmp_path / "out"))
-    assert load_counts == {"load_students": 1, "load_matches": 0}
+    assert load_counts == dict(NO_LOADS, load_students=1)
+
+
+# What a resumed run loads, by the first stage it reruns: the students file,
+# and each artifact that a rerun stage reads and a skipped stage wrote.
+# ``read_jsonl`` reads the predicted rows, the role models' reasons, and the
+# role models themselves inside ``load_rolemodels``.
+RESUME_LOADS = {
+    "label": dict(NO_LOADS, load_students=1),
+    "classify": dict(NO_LOADS, load_students=1, read_labels=1),
+    "identify": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, read_jsonl=1),
+    "attributes": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1,
+                       load_rolemodels=1, read_jsonl=3),
+    "rank": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_profiles=2,
+                 load_rolemodels=1, read_jsonl=3),
+    "report": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_rolemodels=1,
+                   load_matches=1, read_jsonl=3),
+    "pages": dict(NO_LOADS, load_students=1, load_rolemodels=1, load_matches=1, read_jsonl=1),
+}
+STAGE_FILES = {
+    "label": ("labels.jsonl",), "classify": ("model.txt", "predicted.jsonl"),
+    "identify": ("rolemodels.jsonl",),
+    "attributes": ("student_profiles.jsonl", "rolemodel_profiles.jsonl"),
+    "rank": ("matches.jsonl",), "report": ("report.json",), "pages": ("pages",),
+}
+
+
+def files_from(stage):
+    """The files that ``stage`` and every later stage write."""
+    return tuple(name for later in STAGES[STAGES.index(stage):] for name in STAGE_FILES[later])
 
 
 @pytest.mark.parametrize("removed, rerun", [
     (("report.json", "pages"), ["report", "pages"]),
     (("pages",), ["pages"]),
+    (files_from("rank"), ["rank", "report", "pages"]),
+    (files_from("attributes"), ["attributes", "rank", "report", "pages"]),
+    (files_from("identify"), ["identify", "attributes", "rank", "report", "pages"]),
+    (files_from("classify"), list(STAGES[1:])),
+    (files_from("label"), list(STAGES)),
 ])
 def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, load_counts,
                                                             removed, rerun):
@@ -139,12 +185,12 @@ def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, lo
             shutil.rmtree(out / name)
         else:
             (out / name).unlink()
-    load_counts.update(load_students=0, load_matches=0)
+    load_counts.update(NO_LOADS)
 
     result = run_pipeline(make_config(corpus, out), resume=True)
 
     assert [stage for stage in STAGES if stage not in result.skipped] == rerun
-    assert load_counts == {"load_students": 1, "load_matches": 1}
+    assert load_counts == RESUME_LOADS[rerun[0]]
     assert tree_bytes(out) == tree_bytes(fresh)
 
 
@@ -184,11 +230,16 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     ("lam", "0.1"), ("fuzzy_threshold", False), ("with_retweet", "no"), ("with_retweet", 0),
     ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
     ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
+    ("fuzzy_threshold", 1.5), ("lam", 0),
 ])
 def test_config_rejects_values_of_the_wrong_type(key, value):
     data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}
     with pytest.raises(ValueError, match=repr(key)):
         PipelineConfig.from_dict(data)
+    # A config built in code is checked too; only its paths are not strings.
+    if key not in ("students", "annotations"):
+        with pytest.raises(ValueError, match=repr(key)):
+            PipelineConfig(**data)
 
 
 def test_config_takes_ints_as_numbers_and_null_as_the_default(tmp_path):
