@@ -62,7 +62,7 @@ def _cmd_attributes(args: argparse.Namespace) -> int:
     if args.kind == "student":
         records = _records(load_students(args.in_path), args.in_path)
     else:
-        records = pipeline_mod.load_rolemodels(args.in_path)
+        records, _ = pipeline_mod.load_rolemodels(args.in_path)
     profiles = pipeline_mod.attributes(records, args.out)
     print(f"wrote {len(profiles)} {args.kind} profiles")
     return 0

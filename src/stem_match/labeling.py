@@ -11,13 +11,12 @@ over the weak label downstream.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import StudentRecord, _data_text
+from .records import DATA_DIR, StudentRecord, iter_jsonl
 
 COLLEGE = "college"
 NON_COLLEGE = "non-college"
@@ -141,17 +140,10 @@ def label_corpus(records: Iterable[StudentRecord], rules: Sequence[LabelRule]) -
 # ---------------------------------------------------------------------------
 
 
-def _parse_rules(text: str, origin: str) -> list[LabelRule]:
+def load_rules(path: str | Path) -> list[LabelRule]:
+    """Load rules from a JSON Lines file; any invalid rule is fatal."""
     rules = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LabelError(f"{origin} line {line_no}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(data, Mapping):
-            raise LabelError(f"{origin} line {line_no}: rule must be an object")
+    for line_no, data in iter_jsonl(path):
         try:
             rules.append(
                 LabelRule(
@@ -161,13 +153,8 @@ def _parse_rules(text: str, origin: str) -> list[LabelRule]:
                 )
             )
         except LabelError as exc:
-            raise LabelError(f"{origin} line {line_no}: {exc}") from exc
+            raise LabelError(f"{path} line {line_no}: {exc}") from exc
     return rules
-
-
-def load_rules(path: str | Path) -> list[LabelRule]:
-    """Load rules from a JSON Lines file; any invalid rule is fatal."""
-    return _parse_rules(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def default_rules() -> list[LabelRule]:
@@ -177,7 +164,7 @@ def default_rules() -> list[LabelRule]:
     shorthands vote college; parental/occupational self-descriptions vote
     non-college.  Meant to be replaced or extended per deployment.
     """
-    return _parse_rules(_data_text("rules.jsonl"), "bundled rules.jsonl")
+    return load_rules(DATA_DIR / "rules.jsonl")
 
 
 def label_rows(partition: LabelPartition, records: Iterable[StudentRecord]) -> list[dict]:
@@ -213,14 +200,11 @@ def effective_label(row: Mapping) -> str:
 def read_labels(path: str | Path) -> dict[str, str]:
     """Map of student id → effective label from a labels file."""
     labels: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, row in iter_jsonl(path):
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LabelError(f"{path} line {line_no}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(row, Mapping) or not isinstance(row.get("id"), str):
-            raise LabelError(f"{path} line {line_no}: row must be an object with a string id")
-        labels[row["id"]] = effective_label(row)
+            if not isinstance(row.get("id"), str):
+                raise LabelError("row must have a string id")
+            labels[row["id"]] = effective_label(row)
+        except LabelError as exc:
+            raise LabelError(f"{path} line {line_no}: {exc}") from exc
     return labels

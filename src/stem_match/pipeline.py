@@ -16,6 +16,7 @@ file.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,17 +47,19 @@ class PipelineError(RuntimeError):
 
 _STR = (lambda v: isinstance(v, str), "a string")
 _OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)), "a path")
+_OPTIONAL_PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike)), "a path or null")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# Config key -> (accepts(value), what it must be).  ``__post_init__`` checks
-# the values, ``from_dict`` the path keys before they become paths.
+# Config key -> (accepts(value), what it must be), checked by ``__post_init__``.
 _CONFIG_KEYS = {
-    **dict.fromkeys(("students", "candidates", "out_dir"), _STR),
-    **dict.fromkeys(("annotations", "rules", "taxonomy", "majors", "survey_url"), _OPTIONAL_STR),
+    **dict.fromkeys(("students", "candidates", "out_dir"), _PATH),
+    **dict.fromkeys(("annotations", "rules", "taxonomy", "majors"), _OPTIONAL_PATH),
+    "survey_url": _OPTIONAL_STR,
     "profile_url_template": _STR,
     **dict.fromkeys(("seed", "epochs"), (_is_int, "an integer")),
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
@@ -83,6 +86,7 @@ class PipelineConfig:
 
     Relative paths are resolved against the directory of the config file
     they were loaded from (the current directory when built in code).  A
+    path field takes a string or any ``os.PathLike`` and holds a ``Path``.  A
     ``profile_url_template`` of None takes the default template.
     """
 
@@ -108,8 +112,10 @@ class PipelineConfig:
         if self.profile_url_template is None:
             object.__setattr__(self, "profile_url_template", pages_mod.PROFILE_URL_TEMPLATE)
         for key in _CONFIG_KEYS:
-            if key not in _PATH_KEYS:
-                _check(key, getattr(self, key))
+            _check(key, getattr(self, key))
+        for key in _PATH_KEYS:
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, Path(getattr(self, key)))
         object.__setattr__(self, "top10_cities", tuple(self.top10_cities))
 
     @classmethod
@@ -124,10 +130,8 @@ class PipelineConfig:
                 raise ValueError(f"pipeline config is missing {required!r}")
         kwargs = dict(data)
         for key in _PATH_KEYS:
-            if key in data:
-                _check(key, data[key])
-                if data[key] is not None:
-                    kwargs[key] = Path(base_dir) / data[key]
+            if isinstance(data.get(key), (str, os.PathLike)):
+                kwargs[key] = Path(base_dir) / data[key]
         return cls(**kwargs)
 
     @classmethod
@@ -268,9 +272,11 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
     return result
 
 
-def load_rolemodels(path: str | Path) -> list[CandidateRecord]:
-    """Role models as the identify stage wrote them."""
-    return [CandidateRecord.from_dict(row) for row in read_jsonl(path)]
+def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]:
+    """Role models as the identify stage wrote them, and the reason each was kept."""
+    rows = read_jsonl(path)
+    return ([CandidateRecord.from_dict(row) for row in rows],
+            [row.get("reason", "unknown") for row in rows])
 
 
 def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path
@@ -351,6 +357,14 @@ def _checked(loaded: LoadResult, kind: str) -> list:
     return list(loaded.records)
 
 
+def _load_rolemodels(state: RunState, name: str) -> list:
+    """``name``, the role models or their reasons, from one read of the file
+    that holds both; the other one is stored for its own reader."""
+    both = dict(zip(("rolemodels", "reasons"), load_rolemodels(state.paths["rolemodels"])))
+    state.update((other, value) for other, value in both.items() if other != name)
+    return both[name]
+
+
 # Artifact name -> how a run loads it when no stage of the run stored it.
 # Layer functions are looked up through their modules at call time, so
 # wrappers that rebind module attributes see these calls.
@@ -360,9 +374,8 @@ _LOADERS: dict[str, Callable[[RunState], object]] = {
     "labels": lambda s: labeling.read_labels(s.paths["labels"]),
     "model": lambda s: clf.load_model(s.paths["model"]),
     "predicted": lambda s: read_jsonl(s.paths["predicted"]),
-    "rolemodels": lambda s: load_rolemodels(s.paths["rolemodels"]),
-    "reasons": lambda s: [row.get("reason", "unknown")
-                          for row in read_jsonl(s.paths["rolemodels"])],
+    "rolemodels": lambda s: _load_rolemodels(s, "rolemodels"),
+    "reasons": lambda s: _load_rolemodels(s, "reasons"),
     "student_profiles": lambda s: attr.load_profiles(s.paths["student_profiles"]),
     "rolemodel_profiles": lambda s: attr.load_profiles(s.paths["rolemodel_profiles"]),
     "matches": lambda s: matching.load_matches(s.paths["matches"]),

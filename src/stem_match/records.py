@@ -1,4 +1,4 @@
-"""Record types and JSON Lines ingestion for students and candidates.
+"""Record types, and the readers of every JSON Lines file the package loads.
 
 Students carry Twitter-style data (tweets, bio, free-text location) and
 candidates carry LinkedIn-style data (industry, education, interests,
@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 PREDICTOR_SOURCES = ("name-gender", "name-demographics", "face")
 GENDER_VALUES = ("female", "male")
@@ -33,6 +32,9 @@ ATTRIBUTE_VALUES: dict[str, tuple[str, ...]] = {
 MAX_TWEETS = 200
 
 _WS_RUN = re.compile(r"\s+")
+
+# The bundled rules, industry taxonomy and STEM major list.
+DATA_DIR = Path(__file__).with_name("data")
 
 
 class RecordError(ValueError):
@@ -136,8 +138,6 @@ class StudentRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping, max_tweets: int = MAX_TWEETS) -> "StudentRecord":
-        if not isinstance(data, Mapping):
-            raise RecordError("student record must be an object")
         tweets = _str_list(data, "tweets")
         if len(tweets) > max_tweets:
             tweets = tweets[-max_tweets:]
@@ -197,8 +197,6 @@ class CandidateRecord:
         the unknown-industry flag is recomputed against it, otherwise any
         flag already present in the data is kept.
         """
-        if not isinstance(data, Mapping):
-            raise RecordError("candidate record must be an object")
         industry = _optional_str(data, "industry")
         if industries is not None:
             unknown = _norm_key(industry) not in industries
@@ -254,8 +252,6 @@ class AttributeProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AttributeProfile":
-        if not isinstance(data, Mapping):
-            raise RecordError("profile must be an object")
         interests = data.get("interests", [])
         if not isinstance(interests, list) or any(not isinstance(i, str) for i in interests):
             raise RecordError("interests must be a list of strings")
@@ -329,8 +325,19 @@ class LoadResult:
         return len(self.records)
 
 
+def _parse_line(line: str) -> dict:
+    """The one parse step of both line loops: a JSON object or a RecordError."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise RecordError("not a JSON object")
+    return data
+
+
 def _load_jsonl(path: str | Path, build) -> LoadResult:
-    """Shared per-line loader: parse, build, deduplicate by id.
+    """Shared lenient loader: parse, build, deduplicate by id.
 
     A malformed or invalid line is reported with its line number and
     skipped; the rest of the file still loads.  An unreadable file raises.
@@ -343,13 +350,9 @@ def _load_jsonl(path: str | Path, build) -> LoadResult:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                record = build(data)
+                record = build(_parse_line(line))
             except RecordError as exc:
                 errors.append(LoadError(line_no, str(exc)))
-                continue
-            except json.JSONDecodeError as exc:
-                errors.append(LoadError(line_no, f"invalid JSON: {exc.msg}"))
                 continue
             if record.id in seen:
                 errors.append(LoadError(line_no, f"duplicate id {record.id!r}"))
@@ -394,33 +397,29 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
             handle.write("\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Read a whole JSON Lines file; raises on any malformed line."""
-    rows = []
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON Lines file.
+
+    The strict loader: a line that is not a JSON object raises a
+    RecordError naming the file and the line.
+    """
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-    return rows
+                row = _parse_line(line)
+            except RecordError as exc:
+                raise RecordError(f"{path} line {line_no}: {exc}") from None
+            yield line_no, row
 
 
-# ---------------------------------------------------------------------------
-# Bundled data
-# ---------------------------------------------------------------------------
-
-
-def _data_text(name: str) -> str:
-    return (resources.files("stem_match") / "data" / name).read_text(encoding="utf-8")
+def read_jsonl(path: str | Path) -> list[dict]:
+    """Every object of a JSON Lines file; a bad line raises as in ``iter_jsonl``."""
+    return [row for _, row in iter_jsonl(path)]
 
 
 def default_industry_names() -> frozenset[str]:
     """Normalized industry names from the bundled taxonomy file."""
-    names = set()
-    for line in _data_text("taxonomy.jsonl").splitlines():
-        if line.strip():
-            names.add(_norm_key(json.loads(line)["industry"]))
-    return frozenset(names)
+    rows = read_jsonl(DATA_DIR / "taxonomy.jsonl")
+    return frozenset(_norm_key(row["industry"]) for row in rows)

@@ -10,12 +10,11 @@ bundled defaults cover the standard 147-industry vocabulary and a
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import CandidateRecord, _data_text, _norm_key
+from .records import DATA_DIR, CandidateRecord, _norm_key, iter_jsonl
 
 GROUP_STEM = "STEM"
 GROUP_RELATED = "STEM-related"
@@ -81,73 +80,53 @@ class StemMajorList:
         return len(self.canonical)
 
 
-def _build_taxonomy(text: str, origin: str) -> IndustryTaxonomy:
+def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
     groups: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TaxonomyError(f"{origin} line {line_no}: invalid JSON: {exc.msg}") from exc
+    for line_no, row in iter_jsonl(path):
         name = row.get("industry")
         group = row.get("group")
         if not isinstance(name, str) or not name.strip():
-            raise TaxonomyError(f"{origin} line {line_no}: industry name must be a nonempty string")
+            raise TaxonomyError(f"{path} line {line_no}: industry name must be a nonempty string")
         key = _norm_key(name)
         if key in groups:
-            raise TaxonomyError(f"{origin} line {line_no}: duplicate industry {name!r}")
+            raise TaxonomyError(f"{path} line {line_no}: duplicate industry {name!r}")
         if group not in GROUPS:
-            raise TaxonomyError(f"{origin} line {line_no}: unknown group {group!r}")
+            raise TaxonomyError(f"{path} line {line_no}: unknown group {group!r}")
         groups[key] = group
     return IndustryTaxonomy(groups)
 
 
-def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
-    return _build_taxonomy(Path(path).read_text(encoding="utf-8"), str(path))
-
-
 def default_taxonomy() -> IndustryTaxonomy:
     """The bundled taxonomy covering all 147 standard industry names."""
-    return _build_taxonomy(_data_text("taxonomy.jsonl"), "bundled taxonomy.jsonl")
+    return load_taxonomy(DATA_DIR / "taxonomy.jsonl")
 
 
-def _build_majors(text: str, origin: str) -> StemMajorList:
+def load_majors(path: str | Path) -> StemMajorList:
     canonical: list[str] = []
     lookup: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TaxonomyError(f"{origin} line {line_no}: invalid JSON: {exc.msg}") from exc
+    for line_no, row in iter_jsonl(path):
         major = row.get("major")
         aliases = row.get("aliases", [])
         if not isinstance(major, str) or not major.strip():
-            raise TaxonomyError(f"{origin} line {line_no}: major must be a nonempty string")
+            raise TaxonomyError(f"{path} line {line_no}: major must be a nonempty string")
         if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
-            raise TaxonomyError(f"{origin} line {line_no}: aliases must be a list of strings")
+            raise TaxonomyError(f"{path} line {line_no}: aliases must be a list of strings")
         canonical.append(major)
         for name in [major, *aliases]:
             key = _norm_key(name)
             if key in lookup:
                 raise TaxonomyError(
-                    f"{origin} line {line_no}: {name!r} already maps to {lookup[key]!r}"
+                    f"{path} line {line_no}: {name!r} already maps to {lookup[key]!r}"
                 )
             lookup[key] = major
     if not canonical:
-        raise TaxonomyError(f"{origin}: major list must not be empty")
+        raise TaxonomyError(f"{path}: major list must not be empty")
     return StemMajorList(tuple(canonical), lookup)
-
-
-def load_majors(path: str | Path) -> StemMajorList:
-    return _build_majors(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def default_majors() -> StemMajorList:
     """The bundled 38-major STEM list."""
-    return _build_majors(_data_text("majors.jsonl"), "bundled majors.jsonl")
+    return load_majors(DATA_DIR / "majors.jsonl")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ never from the annotations.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,15 +22,17 @@ from typing import Mapping
 from .records import (
     GENDER_VALUES,
     RACE_VALUES,
+    DATA_DIR,
     CandidateRecord,
     PredictorOutput,
     StudentRecord,
-    _data_text,
     _norm_key,
     default_industry_names,
+    read_jsonl,
     write_jsonl,
 )
-from .rolemodels import GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, default_majors, default_taxonomy, is_role_model
+from .rolemodels import (GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, GROUPS, default_majors,
+                         default_taxonomy, is_role_model)
 
 # Single-token tags (hashtag-safe) chosen pairwise dissimilar under the
 # edit-distance similarity at the default 0.8 threshold, so two distinct
@@ -263,12 +264,8 @@ class SynthPopulation:
 
 
 def _industries_by_group() -> dict[str, tuple[str, ...]]:
-    by_group: dict[str, list[str]] = {}
-    for line in _data_text("taxonomy.jsonl").splitlines():
-        if line.strip():
-            row = json.loads(line)
-            by_group.setdefault(row["group"], []).append(row["industry"])
-    return {group: tuple(names) for group, names in by_group.items()}
+    rows = read_jsonl(DATA_DIR / "taxonomy.jsonl")
+    return {group: tuple(row["industry"] for row in rows if row["group"] == group) for group in GROUPS}
 
 
 def _predictor_outputs(gender: str | None, race: str | None) -> tuple[PredictorOutput, ...]:

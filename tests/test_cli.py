@@ -140,3 +140,17 @@ def test_bad_flag_value_is_a_clean_error(corpus, tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
+def test_evaluate_names_the_bad_annotations_line_without_a_traceback(tmp_path, capsys, bad_line):
+    matches = tmp_path / "matches.jsonl"
+    matches.write_text('{"student_id": "s1", "ranked": []}\n', encoding="utf-8")
+    annotations = tmp_path / "gt.jsonl"
+    annotations.write_text('\n{"subject_id": "s1"}\n' + bad_line + "\n", encoding="utf-8")
+    code = main(["evaluate", "--matches", str(matches), "--annotations", str(annotations),
+                 "--out", str(tmp_path / "eval.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{annotations} line 3" in err
+    assert "Traceback" not in err

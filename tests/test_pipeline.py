@@ -138,18 +138,18 @@ def test_one_run_parses_students_once_and_never_reads_matches_back(tmp_path, cor
 
 # What a resumed run loads, by the first stage it reruns: the students file,
 # and each artifact that a rerun stage reads and a skipped stage wrote.
-# ``read_jsonl`` reads the predicted rows, the role models' reasons, and the
-# role models themselves inside ``load_rolemodels``.
+# ``read_jsonl`` reads the predicted rows, and inside ``load_rolemodels`` the
+# role models and their reasons, both from one read.
 RESUME_LOADS = {
     "label": dict(NO_LOADS, load_students=1),
     "classify": dict(NO_LOADS, load_students=1, read_labels=1),
     "identify": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, read_jsonl=1),
     "attributes": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1,
-                       load_rolemodels=1, read_jsonl=3),
+                       load_rolemodels=1, read_jsonl=2),
     "rank": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_profiles=2,
-                 load_rolemodels=1, read_jsonl=3),
+                 load_rolemodels=1, read_jsonl=2),
     "report": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_rolemodels=1,
-                   load_matches=1, read_jsonl=3),
+                   load_matches=1, read_jsonl=2),
     "pages": dict(NO_LOADS, load_students=1, load_rolemodels=1, load_matches=1, read_jsonl=1),
 }
 STAGE_FILES = {
@@ -216,6 +216,17 @@ def test_errors_name_the_failing_stage(tmp_path, corpus):
     assert err.value.stage == "identify"
 
 
+@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
+def test_a_bad_annotations_line_fails_the_report_stage_by_file_and_line(tmp_path, corpus,
+                                                                        bad_line):
+    annotations = tmp_path / "gt.jsonl"
+    annotations.write_text('\n{"subject_id": "s1"}\n' + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(make_config(corpus, tmp_path / "out", annotations=annotations))
+    assert err.value.stage == "report"
+    assert f"{annotations} line 3" in str(err.value)
+
+
 def test_config_rejects_unknown_keys(tmp_path, corpus):
     with pytest.raises(ValueError) as err:
         PipelineConfig.from_dict(
@@ -236,10 +247,17 @@ def test_config_rejects_values_of_the_wrong_type(key, value):
     data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}
     with pytest.raises(ValueError, match=repr(key)):
         PipelineConfig.from_dict(data)
-    # A config built in code is checked too; only its paths are not strings.
-    if key not in ("students", "annotations"):
-        with pytest.raises(ValueError, match=repr(key)):
-            PipelineConfig(**data)
+    # A config built in code is checked too, its paths included.
+    with pytest.raises(ValueError, match=repr(key)):
+        PipelineConfig(**data)
+
+
+def test_config_built_in_code_takes_string_paths(tmp_path, corpus):
+    config = make_config(corpus, str(tmp_path / "out"), students=str(corpus["students"]))
+    assert isinstance(config.out_dir, Path) and isinstance(config.students, Path)
+    run_pipeline(config)
+    run_pipeline(make_config(corpus, tmp_path / "paths"))
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "paths")
 
 
 def test_config_takes_ints_as_numbers_and_null_as_the_default(tmp_path):

@@ -1,8 +1,18 @@
 """Record validation and JSONL ingestion."""
 
+import json
+import shutil
+
 import pytest
 
+from stem_match.attributes import load_profiles
+from stem_match.labeling import default_rules, load_rules, read_labels
+from stem_match.matching import load_annotations, load_matches
+from stem_match.pipeline import load_rolemodels
+from stem_match.rolemodels import (default_majors, default_taxonomy, load_majors,
+                                   load_taxonomy)
 from stem_match.records import (
+    DATA_DIR,
     MAX_TWEETS,
     AttributeProfile,
     CandidateRecord,
@@ -155,12 +165,13 @@ def test_load_students_reports_bad_lines_and_keeps_good_ones(tmp_path):
         '{"id": "s1", "tweets": ["a"]}',
         "{not json",
         '{"id": "", "tweets": ["a"]}',
+        "[1, 2]",
         '{"id": "s2", "tweets": ["b"]}',
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = load_students(path)
     assert [r.id for r in result.records] == ["s1", "s2"]
-    assert sorted(e.line for e in result.errors) == [2, 3]
+    assert sorted(e.line for e in result.errors) == [2, 3, 4]
     for error in result.errors:
         assert error.message
 
@@ -203,6 +214,42 @@ def test_read_jsonl_raises_on_malformed_line(tmp_path):
     path.write_text('{"ok": 1}\n{broken\n', encoding="utf-8")
     with pytest.raises(RecordError):
         read_jsonl(path)
+
+
+# Every strict loader, each with one row it accepts.
+STRICT_LOADERS = {
+    "read_jsonl": (read_jsonl, '{"id": "a"}'),
+    "read_labels": (read_labels, '{"id": "a", "label": "college"}'),
+    "load_rules": (load_rules, '{"pattern": "x", "label": "college", "description": "x"}'),
+    "load_taxonomy": (load_taxonomy, '{"industry": "A", "group": "STEM"}'),
+    "load_majors": (load_majors, '{"major": "Physics"}'),
+    "load_profiles": (load_profiles, '{"id": "a"}'),
+    "load_annotations": (load_annotations, '{"subject_id": "a"}'),
+    "load_matches": (load_matches, '{"student_id": "a", "ranked": []}'),
+    "load_rolemodels": (load_rolemodels, json.dumps(candidate_row())),
+}
+
+
+@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
+@pytest.mark.parametrize("loader", STRICT_LOADERS)
+def test_every_strict_loader_names_the_file_and_line_of_a_bad_line(tmp_path, loader, bad_line):
+    load, good_line = STRICT_LOADERS[loader]
+    path = tmp_path / "rows.jsonl"
+    path.write_text(good_line + "\n", encoding="utf-8")
+    load(path)
+    path.write_text(f"\n{good_line}\n{bad_line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert f"{path} line 3" in str(err.value)
+
+
+def test_bundled_data_loads_the_same_as_a_copy_given_as_an_override(tmp_path):
+    for name in ("rules.jsonl", "taxonomy.jsonl", "majors.jsonl"):
+        shutil.copy(DATA_DIR / name, tmp_path / name)
+    assert ([rule.to_dict() for rule in load_rules(tmp_path / "rules.jsonl")]
+            == [rule.to_dict() for rule in default_rules()])
+    assert load_taxonomy(tmp_path / "taxonomy.jsonl") == default_taxonomy()
+    assert load_majors(tmp_path / "majors.jsonl") == default_majors()
 
 
 # ---------------------------------------------------------------------------
