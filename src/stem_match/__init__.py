@@ -44,7 +44,6 @@ from .matching import (
     load_annotations,
     load_matches,
     match_corpus,
-    rank,
     write_matches,
 )
 from .pages import PageSpec, build_page_spec, render_page, write_pages
@@ -144,7 +143,6 @@ __all__ = [
     "load_students",
     "location_similarity",
     "match_corpus",
-    "rank",
     "render_page",
     "run_pipeline",
     "save_model",

@@ -142,14 +142,15 @@ def load_profiles(path: str | Path) -> list[tuple[str, AttributeProfile]]:
     Profile files are pipeline-internal artifacts, so unlike raw record
     ingestion this loader does not skip bad lines.
     """
-    pairs: list[tuple[str, AttributeProfile]] = []
     seen: set[str] = set()
-    for row in read_jsonl(path):
+
+    def build(row: dict) -> tuple[str, AttributeProfile]:
         subject_id = row.get("id")
         if not isinstance(subject_id, str) or not subject_id:
-            raise RecordError(f"{path}: profile row without a string id")
+            raise RecordError("profile row without a string id")
         if subject_id in seen:
-            raise RecordError(f"{path}: duplicate profile id {subject_id!r}")
+            raise RecordError(f"duplicate profile id {subject_id!r}")
         seen.add(subject_id)
-        pairs.append((subject_id, AttributeProfile.from_dict(row)))
-    return pairs
+        return subject_id, AttributeProfile.from_dict(row)
+
+    return read_jsonl(path, build)

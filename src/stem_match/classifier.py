@@ -286,31 +286,38 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Model-file scalar -> its type; a scalar not listed here is ignored.
+_SCALARS = {"bias": float, "lambda": float, "seed": int, "epochs": int, "cv_accuracy": float}
+
+
 def load_model(path: str | Path) -> ClassifierModel:
     names: list[str] = []
     weights: list[float] = []
-    scalars: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    scalars: dict[str, float | int | str] = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "feature" and len(parts) == 3:
-            names.append(parts[1])
-            weights.append(float(parts[2]))
-        elif len(parts) == 2:
-            scalars[parts[0]] = parts[1]
-        else:
-            raise ClassifierError(f"unparseable model line: {line!r}")
+        try:
+            if parts[0] == "feature" and len(parts) == 3:
+                names.append(parts[1])
+                weights.append(float(parts[2]))
+            elif len(parts) == 2:
+                scalars[parts[0]] = _SCALARS.get(parts[0], str)(parts[1])
+            else:
+                raise ClassifierError(f"unparseable model line: {line!r}")
+        except ValueError as exc:
+            raise ClassifierError(f"{path} line {line_no}: {exc}") from exc
     try:
         return ClassifierModel(
             weights=tuple(weights),
-            bias=float(scalars["bias"]),
+            bias=scalars["bias"],
             active_features=tuple(names),
-            seed=int(scalars["seed"]),
-            epochs=int(scalars["epochs"]),
-            lam=float(scalars["lambda"]),
-            cv_accuracy=float(scalars["cv_accuracy"]) if "cv_accuracy" in scalars else None,
+            seed=scalars["seed"],
+            epochs=scalars["epochs"],
+            lam=scalars["lambda"],
+            cv_accuracy=scalars.get("cv_accuracy"),
         )
     except KeyError as exc:
         raise ClassifierError(f"model file missing field {exc.args[0]!r}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import DATA_DIR, StudentRecord, iter_jsonl
+from .records import DATA_DIR, StudentRecord, read_jsonl
 
 COLLEGE = "college"
 NON_COLLEGE = "non-college"
@@ -142,19 +142,11 @@ def label_corpus(records: Iterable[StudentRecord], rules: Sequence[LabelRule]) -
 
 def load_rules(path: str | Path) -> list[LabelRule]:
     """Load rules from a JSON Lines file; any invalid rule is fatal."""
-    rules = []
-    for line_no, data in iter_jsonl(path):
-        try:
-            rules.append(
-                LabelRule(
-                    pattern=str(data.get("pattern", "")),
-                    label=str(data.get("label", "")),
-                    description=str(data.get("description", "")),
-                )
-            )
-        except LabelError as exc:
-            raise LabelError(f"{path} line {line_no}: {exc}") from exc
-    return rules
+    return read_jsonl(path, lambda data: LabelRule(
+        pattern=str(data.get("pattern", "")),
+        label=str(data.get("label", "")),
+        description=str(data.get("description", "")),
+    ))
 
 
 def default_rules() -> list[LabelRule]:
@@ -199,12 +191,10 @@ def effective_label(row: Mapping) -> str:
 
 def read_labels(path: str | Path) -> dict[str, str]:
     """Map of student id → effective label from a labels file."""
-    labels: dict[str, str] = {}
-    for line_no, row in iter_jsonl(path):
-        try:
-            if not isinstance(row.get("id"), str):
-                raise LabelError("row must have a string id")
-            labels[row["id"]] = effective_label(row)
-        except LabelError as exc:
-            raise LabelError(f"{path} line {line_no}: {exc}") from exc
-    return labels
+
+    def build(row: Mapping) -> tuple[str, str]:
+        if not isinstance(row.get("id"), str):
+            raise LabelError("row must have a string id")
+        return row["id"], effective_label(row)
+
+    return dict(read_jsonl(path, build))

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .records import AttributeProfile, RecordError, read_jsonl, write_jsonl
+from .records import AttributeProfile, read_jsonl, write_jsonl
 from .similarity import (
     DEFAULT_FUZZY_THRESHOLD,
     SimilarityBreakdown,
@@ -287,27 +287,6 @@ def _select_top(index: CandidateIndex, student_id: str, student: AttributeProfil
     return MatchResult(student_id, tuple(ranked))
 
 
-def rank(student_id: str, student: AttributeProfile,
-         candidates: Sequence[tuple[str, AttributeProfile]] | CandidateIndex,
-         k: int = DEFAULT_K, threshold: float = DEFAULT_FUZZY_THRESHOLD) -> MatchResult:
-    """Top-k role models for one student.
-
-    ``candidates`` may be a prebuilt ``CandidateIndex`` to amortize
-    preprocessing across students (``match_corpus`` does exactly that).
-    """
-    if k < 1:
-        raise MatchError(f"k must be >= 1, got {k}")
-    if isinstance(candidates, CandidateIndex):
-        index = candidates
-    else:
-        if not candidates:
-            raise MatchError("candidate list must be nonempty")
-        index = CandidateIndex(candidates, threshold)
-    if len(index) == 0:
-        raise MatchError("candidate list must be nonempty")
-    return _select_top(index, student_id, student, k)
-
-
 def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
                  candidates: Sequence[tuple[str, AttributeProfile]],
                  k: int = DEFAULT_K,
@@ -360,24 +339,24 @@ class GroundTruthAnnotation:
         flag = data.get("is_stem_role_model")
         if flag is not None and not isinstance(flag, bool):
             raise MatchError(f"is_stem_role_model must be boolean, got {flag!r}")
-        return cls(
-            subject_id=subject_id,
-            gender=data.get("gender"),
-            race=data.get("race"),
-            city=data.get("city"),
-            state=data.get("state"),
-            is_stem_role_model=flag,
-            planted_candidate_id=data.get("planted_candidate_id"),
-        )
+        fields = {name: data.get(name)
+                  for name in ("gender", "race", "city", "state", "planted_candidate_id")}
+        for name, value in fields.items():
+            if value is not None and not isinstance(value, str):
+                raise MatchError(f"annotated {name} must be a string or null, got {value!r}")
+        return cls(subject_id=subject_id, is_stem_role_model=flag, **fields)
 
 
 def load_annotations(path: str | Path) -> dict[str, GroundTruthAnnotation]:
     annotations: dict[str, GroundTruthAnnotation] = {}
-    for row in read_jsonl(path):
+
+    def add(row: Mapping) -> None:
         annotation = GroundTruthAnnotation.from_dict(row)
         if annotation.subject_id in annotations:
             raise MatchError(f"duplicate annotation for {annotation.subject_id!r}")
         annotations[annotation.subject_id] = annotation
+
+    read_jsonl(path, add)
     return annotations
 
 
@@ -390,6 +369,15 @@ def _place_field(level: str) -> str:
     return "city" if level.startswith("city") else "state"
 
 
+def _match_key(annotation: GroundTruthAnnotation, place_field: str
+               ) -> tuple[str, str, str] | None:
+    """(gender, race, normalized place), or None when any of them is absent."""
+    place = getattr(annotation, place_field)
+    if annotation.gender is None or annotation.race is None or place is None:
+        return None
+    return annotation.gender, annotation.race, normalize_location(place)
+
+
 def is_correct_match(student: GroundTruthAnnotation, candidate: GroundTruthAnnotation,
                      level: str) -> bool:
     """Correct iff the candidate is a STEM role model sharing gender, race,
@@ -399,18 +387,10 @@ def is_correct_match(student: GroundTruthAnnotation, candidate: GroundTruthAnnot
     that could not be annotated count as zero correct matches.
     """
     _check_level(level)
-    if not candidate.is_stem_role_model:
-        return False
-    if student.gender is None or candidate.gender is None or student.gender != candidate.gender:
-        return False
-    if student.race is None or candidate.race is None or student.race != candidate.race:
-        return False
-    field_name = _place_field(level)
-    ours = getattr(student, field_name)
-    theirs = getattr(candidate, field_name)
-    if ours is None or theirs is None:
-        return False
-    return normalize_location(ours) == normalize_location(theirs)
+    place_field = _place_field(level)
+    key = _match_key(student, place_field)
+    return (bool(candidate.is_stem_role_model) and key is not None
+            and key == _match_key(candidate, place_field))
 
 
 @dataclass(frozen=True)
@@ -466,17 +446,25 @@ def evaluate(results: Sequence[MatchResult], annotations: Mapping[str, GroundTru
     else:
         cohort = list(results)
 
+    # A ranked candidate's match key, or None when it is not an annotated
+    # STEM role model; filled on first sight of each candidate.
+    place_field = _place_field(level)
+    candidate_keys: dict[str, tuple[str, str, str] | None] = {}
     at_least = [0] * n_max
     no_signal_students = 0
     for result in cohort:
-        student = annotations[result.student_id]
         if result.all_no_signal():
             no_signal_students += 1
+        key = _match_key(annotations[result.student_id], place_field)
         correct = 0
-        for candidate_id, _ in result.ranked:
-            candidate = annotations.get(candidate_id)
-            if candidate is not None and is_correct_match(student, candidate, level):
-                correct += 1
+        if key is not None:
+            for candidate_id, _ in result.ranked:
+                if candidate_id not in candidate_keys:
+                    candidate = annotations.get(candidate_id)
+                    candidate_keys[candidate_id] = (
+                        _match_key(candidate, place_field)
+                        if candidate is not None and candidate.is_stem_role_model else None)
+                correct += candidate_keys[candidate_id] == key
         for n in range(1, min(correct, n_max) + 1):
             at_least[n - 1] += 1
 
@@ -507,16 +495,18 @@ def write_matches(path: str | Path, results: Iterable[MatchResult]) -> None:
     write_jsonl(path, match_rows(results))
 
 
+def _match_result(row: Mapping) -> MatchResult:
+    student_id = row.get("student_id")
+    ranked_rows = row.get("ranked")
+    if not isinstance(student_id, str) or not isinstance(ranked_rows, list):
+        raise MatchError("match row must carry a string student_id and a ranked list")
+    ranked = []
+    for entry in ranked_rows:
+        if not isinstance(entry, dict) or not isinstance(entry.get("candidate_id"), str):
+            raise MatchError("ranked entry must be an object with a string candidate_id")
+        ranked.append((entry["candidate_id"], SimilarityBreakdown.from_dict(entry)))
+    return MatchResult(student_id, tuple(ranked))
+
+
 def load_matches(path: str | Path) -> list[MatchResult]:
-    results = []
-    for row in read_jsonl(path):
-        student_id = row.get("student_id")
-        ranked_rows = row.get("ranked")
-        if not isinstance(student_id, str) or not isinstance(ranked_rows, list):
-            raise RecordError(f"{path}: malformed match row")
-        ranked = tuple(
-            (entry["candidate_id"], SimilarityBreakdown.from_dict(entry))
-            for entry in ranked_rows
-        )
-        results.append(MatchResult(student_id, ranked))
-    return results
+    return read_jsonl(path, _match_result)

@@ -274,9 +274,9 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
 
 def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]:
     """Role models as the identify stage wrote them, and the reason each was kept."""
-    rows = read_jsonl(path)
-    return ([CandidateRecord.from_dict(row) for row in rows],
-            [row.get("reason", "unknown") for row in rows])
+    pairs = read_jsonl(path, lambda row: (CandidateRecord.from_dict(row),
+                                          row.get("reason", "unknown")))
+    return [record for record, _ in pairs], [reason for _, reason in pairs]
 
 
 def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path
@@ -349,10 +349,10 @@ def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
     )
 
 
-def _checked(loaded: LoadResult, kind: str) -> list:
+def _checked(loaded: LoadResult, kind: str, path: Path) -> list:
     if loaded.errors:
         first = loaded.errors[0]
-        raise ValueError(f"{len(loaded.errors)} bad {kind} rows "
+        raise ValueError(f"{len(loaded.errors)} bad {kind} rows in {path} "
                          f"(first: line {first.line}: {first.message})")
     return list(loaded.records)
 
@@ -369,7 +369,7 @@ def _load_rolemodels(state: RunState, name: str) -> list:
 # Layer functions are looked up through their modules at call time, so
 # wrappers that rebind module attributes see these calls.
 _LOADERS: dict[str, Callable[[RunState], object]] = {
-    "students": lambda s: _checked(load_students(s.config.students), "student"),
+    "students": lambda s: _checked(load_students(s.config.students), "student", s.config.students),
     "display_names": lambda s: {r.id: r.display_name for r in s.pop("students")},
     "labels": lambda s: labeling.read_labels(s.paths["labels"]),
     "model": lambda s: clf.load_model(s.paths["model"]),
@@ -400,7 +400,8 @@ def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: Ru
 def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
     taxonomy, majors = load_taxonomy_and_majors(config.taxonomy, config.majors)
     loaded = load_candidates(config.candidates, industries=taxonomy.groups)
-    result = identify(_checked(loaded, "candidate"), taxonomy, majors, paths["rolemodels"])
+    result = identify(_checked(loaded, "candidate", config.candidates), taxonomy, majors,
+                      paths["rolemodels"])
     state["rolemodels"] = result.role_models
     state["reasons"] = [result.decisions[c.id].reason for c in result.role_models]
 

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 PREDICTOR_SOURCES = ("name-gender", "name-demographics", "face")
 GENDER_VALUES = ("female", "male")
@@ -255,10 +255,13 @@ class AttributeProfile:
         interests = data.get("interests", [])
         if not isinstance(interests, list) or any(not isinstance(i, str) for i in interests):
             raise RecordError("interests must be a list of strings")
+        location = data.get("location")
+        if location is not None and not isinstance(location, str):
+            raise RecordError("location must be a string or null")
         return cls(
             gender=data.get("gender"),
             race=data.get("race"),
-            location=data.get("location"),
+            location=location,
             interests=frozenset(interests),
         )
 
@@ -397,26 +400,25 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
             handle.write("\n")
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON Lines file.
+def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None) -> list:
+    """One item per non-blank line of a JSON Lines file, in file order.
 
-    The strict loader: a line that is not a JSON object raises a
-    RecordError naming the file and the line.
+    The strict loader: each line is parsed into a JSON object and handed to
+    ``build``, whose result is the line's item (the object itself when
+    ``build`` is None).  A ValueError from either step is raised again, as
+    the same type, with the prefix "<path> line <n>: ".
     """
+    items = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 row = _parse_line(line)
-            except RecordError as exc:
-                raise RecordError(f"{path} line {line_no}: {exc}") from None
-            yield line_no, row
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Every object of a JSON Lines file; a bad line raises as in ``iter_jsonl``."""
-    return [row for _, row in iter_jsonl(path)]
+                items.append(row if build is None else build(row))
+            except ValueError as exc:
+                raise type(exc)(f"{path} line {line_no}: {exc}") from exc
+    return items
 
 
 def default_industry_names() -> frozenset[str]:

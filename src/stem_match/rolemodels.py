@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import DATA_DIR, CandidateRecord, _norm_key, iter_jsonl
+from .records import DATA_DIR, CandidateRecord, _norm_key, read_jsonl
 
 GROUP_STEM = "STEM"
 GROUP_RELATED = "STEM-related"
@@ -82,17 +82,20 @@ class StemMajorList:
 
 def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
     groups: dict[str, str] = {}
-    for line_no, row in iter_jsonl(path):
+
+    def add(row: Mapping) -> None:
         name = row.get("industry")
         group = row.get("group")
         if not isinstance(name, str) or not name.strip():
-            raise TaxonomyError(f"{path} line {line_no}: industry name must be a nonempty string")
+            raise TaxonomyError("industry name must be a nonempty string")
         key = _norm_key(name)
         if key in groups:
-            raise TaxonomyError(f"{path} line {line_no}: duplicate industry {name!r}")
+            raise TaxonomyError(f"duplicate industry {name!r}")
         if group not in GROUPS:
-            raise TaxonomyError(f"{path} line {line_no}: unknown group {group!r}")
+            raise TaxonomyError(f"unknown group {group!r}")
         groups[key] = group
+
+    read_jsonl(path, add)
     return IndustryTaxonomy(groups)
 
 
@@ -102,23 +105,23 @@ def default_taxonomy() -> IndustryTaxonomy:
 
 
 def load_majors(path: str | Path) -> StemMajorList:
-    canonical: list[str] = []
     lookup: dict[str, str] = {}
-    for line_no, row in iter_jsonl(path):
+
+    def add(row: Mapping) -> str:
         major = row.get("major")
         aliases = row.get("aliases", [])
         if not isinstance(major, str) or not major.strip():
-            raise TaxonomyError(f"{path} line {line_no}: major must be a nonempty string")
+            raise TaxonomyError("major must be a nonempty string")
         if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
-            raise TaxonomyError(f"{path} line {line_no}: aliases must be a list of strings")
-        canonical.append(major)
+            raise TaxonomyError("aliases must be a list of strings")
         for name in [major, *aliases]:
             key = _norm_key(name)
             if key in lookup:
-                raise TaxonomyError(
-                    f"{path} line {line_no}: {name!r} already maps to {lookup[key]!r}"
-                )
+                raise TaxonomyError(f"{name!r} already maps to {lookup[key]!r}")
             lookup[key] = major
+        return major
+
+    canonical = read_jsonl(path, add)
     if not canonical:
         raise TaxonomyError(f"{path}: major list must not be empty")
     return StemMajorList(tuple(canonical), lookup)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .records import AttributeProfile
+from .records import AttributeProfile, RecordError
 
 DEFAULT_FUZZY_THRESHOLD = 0.8
 
@@ -190,14 +190,21 @@ class SimilarityBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimilarityBreakdown":
-        return cls(
-            gender=data.get("gender"),
-            race=data.get("race"),
-            location=data.get("location"),
-            interest=data.get("interest"),
-            combined=float(data["combined"]),
-            no_signal=bool(data["no_signal"]),
-        )
+        components = {name: data.get(name) for name in ("gender", "race", "location", "interest")}
+        for name, value in components.items():
+            if value is not None and not _is_number(value):
+                raise RecordError(f"similarity {name!r} must be a number or null, got {value!r}")
+        combined = data.get("combined")
+        if not _is_number(combined):
+            raise RecordError(f"similarity 'combined' must be a number, got {combined!r}")
+        no_signal = data.get("no_signal")
+        if not isinstance(no_signal, bool):
+            raise RecordError(f"'no_signal' must be true or false, got {no_signal!r}")
+        return cls(**components, combined=float(combined), no_signal=no_signal)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def combined_score(p_student: AttributeProfile, p_model: AttributeProfile,

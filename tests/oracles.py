@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
 matching, a per-pair full sort for ranking, a per-character range
-test for emoji, and separate HAHA and LOL searches for laughter, so
+test for emoji, separate HAHA and LOL searches for laughter, and a
+field-by-field comparison per ranked pair for match accuracy, so
 agreement is evidence rather than tautology.
 """
 
@@ -89,3 +90,45 @@ _LOL = re.compile(r"\bLO+L\b")
 def contains_hahalol(text: str) -> bool:
     """Search ``text`` for a HAHA token, then separately for a LOL token."""
     return _HAHA.search(text) is not None or _LOL.search(text) is not None
+
+
+def _place(text: str) -> str:
+    return " ".join(text.split()).lower()
+
+
+def correct_match(student, candidate, level: str) -> bool:
+    """A STEM role model with the student's gender, race and place, compared
+    field by field; an absent field on either side is never a match."""
+    if candidate is None or candidate.is_stem_role_model is not True:
+        return False
+    place = "city" if level.startswith("city") else "state"
+    for name in ("gender", "race", place):
+        mine, theirs = getattr(student, name), getattr(candidate, name)
+        if mine is None or theirs is None:
+            return False
+        if name == place:
+            mine, theirs = _place(mine), _place(theirs)
+        if mine != theirs:
+            return False
+    return True
+
+
+def evaluation(results, annotations, level: str, top10_cities, n_max: int = 5):
+    """(cohort size, accuracy per n, no-signal students) of ranked results,
+    counting the correct matches of every ranked pair one at a time."""
+    cohort = list(results)
+    if level.endswith("top10"):
+        wanted = [_place(city) for city in top10_cities]
+        cohort = [r for r in cohort if annotations[r.student_id].city is not None
+                  and _place(annotations[r.student_id].city) in wanted]
+    correct = [
+        sum(correct_match(annotations[r.student_id], annotations.get(cid), level)
+            for cid, _ in r.ranked)
+        for r in cohort
+    ]
+    accuracies = tuple(
+        sum(count >= n for count in correct) / len(cohort) if cohort else 0.0
+        for n in range(1, n_max + 1)
+    )
+    no_signal = sum(all(b.no_signal for _, b in r.ranked) for r in cohort)
+    return len(cohort), accuracies, no_signal

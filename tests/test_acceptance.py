@@ -22,12 +22,10 @@ import oracles
 from stem_match.attributes import build_profile
 from stem_match.classifier import FeatureVector, TrainConfig, cross_validate
 from stem_match.matching import (
-    CandidateIndex,
     GroundTruthAnnotation,
     MatchResult,
     evaluate,
     match_corpus,
-    rank,
 )
 from stem_match.records import AttributeProfile
 from stem_match.similarity import (
@@ -124,7 +122,7 @@ def test_interest_similarity_degenerates_to_jaccard_and_exhaustive_matching():
 
 
 # ---------------------------------------------------------------------------
-# 4. rank() is identical to a brute-force full sort, ties included
+# 4. match_corpus is identical to a brute-force full sort, ties included
 # ---------------------------------------------------------------------------
 
 TIE_GENDERS = ("female", "male", None)
@@ -147,13 +145,12 @@ def test_ranking_is_identical_to_brute_force_full_sort_across_seeds():
     for seed in range(10):
         rng = random.Random(seed)
         candidates = [(f"c{i:03d}", _tie_prone_profile(rng)) for i in range(200)]
-        index = CandidateIndex(candidates, 0.8)
-        for s in range(50):
-            student = _tie_prone_profile(rng)
-            got = rank(f"s{s}", student, index, k=5)
-            want = oracles.full_sort_rank(f"s{s}", student, candidates, 5, 0.8)
-            assert got.candidate_ids() == tuple(cid for cid, _ in want), (seed, s)
-            assert [b for _, b in got.ranked] == [b for _, b in want], (seed, s)
+        students = [(f"s{s}", _tie_prone_profile(rng)) for s in range(50)]
+        results = match_corpus(students, candidates, k=5, threshold=0.8)
+        for (student_id, student), got in zip(students, results):
+            want = oracles.full_sort_rank(student_id, student, candidates, 5, 0.8)
+            assert got.candidate_ids() == tuple(cid for cid, _ in want), (seed, student_id)
+            assert [b for _, b in got.ranked] == [b for _, b in want], (seed, student_id)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"ranking oracle sweep took {elapsed:.2f}s"
 
@@ -399,8 +396,8 @@ def test_removing_gender_rescales_combined_score_to_remaining_mean():
     assert without.combined == (1 + 14 / 20 + 1 / 3) / 3
 
     # the ranking path applies the same contract
-    result = rank("s", AttributeProfile(gender=None, race=full.race,
-                                        location=full.location,
-                                        interests=full.interests),
-                  [("m", model)], k=1)
+    [result] = match_corpus([("s", AttributeProfile(gender=None, race=full.race,
+                                                     location=full.location,
+                                                     interests=full.interests))],
+                            [("m", model)], k=1)
     assert result.ranked[0][1].combined == expected

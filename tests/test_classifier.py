@@ -301,6 +301,18 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert loaded.seed == model.seed
 
 
+@pytest.mark.parametrize("bad_line", ["feature emoji_bin abc", "epochs 1.5", "a b c d"])
+def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
+    path = tmp_path / "model.txt"
+    save_model(train(*separable_data()), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ClassifierError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path} line 3: ")
+
+
 def test_model_file_is_plain_text(tmp_path):
     features, labels = separable_data()
     path = tmp_path / "model.txt"

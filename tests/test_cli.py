@@ -142,15 +142,27 @@ def test_bad_flag_value_is_a_clean_error(corpus, tmp_path, capsys):
     assert not (tmp_path / "m.jsonl").exists()
 
 
-@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
-def test_evaluate_names_the_bad_annotations_line_without_a_traceback(tmp_path, capsys, bad_line):
-    matches = tmp_path / "matches.jsonl"
-    matches.write_text('{"student_id": "s1", "ranked": []}\n', encoding="utf-8")
-    annotations = tmp_path / "gt.jsonl"
-    annotations.write_text('\n{"subject_id": "s1"}\n' + bad_line + "\n", encoding="utf-8")
-    code = main(["evaluate", "--matches", str(matches), "--annotations", str(annotations),
+@pytest.mark.parametrize("bad_file, bad_line", [
+    pytest.param("annotations", "{broken", id="{broken"),
+    pytest.param("annotations", "[1, 2]", id="[1, 2]"),
+    pytest.param("annotations", '{"subject_id": "s2", "city": 5}', id="city-not-a-string"),
+    pytest.param("matches", '{"student_id": "s2", "ranked": [[1]]}', id="entry-not-an-object"),
+    pytest.param("matches", '{"student_id": "s2", "ranked": [{"candidate_id": "c1", '
+                            '"no_signal": false}]}', id="entry-without-combined"),
+])
+def test_evaluate_names_the_bad_annotations_line_without_a_traceback(tmp_path, capsys,
+                                                                     bad_file, bad_line):
+    files = {
+        "matches": (tmp_path / "matches.jsonl", '{"student_id": "s1", "ranked": []}'),
+        "annotations": (tmp_path / "gt.jsonl", '{"subject_id": "s1"}'),
+    }
+    for name, (path, good_line) in files.items():
+        path.write_text(f"\n{good_line}\n{bad_line if name == bad_file else ''}\n",
+                        encoding="utf-8")
+    code = main(["evaluate", "--matches", str(files["matches"][0]),
+                 "--annotations", str(files["annotations"][0]),
                  "--out", str(tmp_path / "eval.json")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{annotations} line 3" in err
+    assert err.startswith("error: ") and f"{files[bad_file][0]} line 3" in err
     assert "Traceback" not in err

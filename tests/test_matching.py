@@ -17,7 +17,6 @@ from stem_match.matching import (
     load_annotations,
     load_matches,
     match_corpus,
-    rank,
     write_matches,
 )
 from stem_match.records import AttributeProfile
@@ -44,7 +43,7 @@ def random_pool(rng, n, prefix):
 
 
 # ---------------------------------------------------------------------------
-# rank()
+# Ranking one student at a time through match_corpus
 # ---------------------------------------------------------------------------
 
 
@@ -54,7 +53,7 @@ def test_rank_matches_full_sort_oracle_small():
     for s in range(10):
         student = random_profile(rng)
         expected = oracles.full_sort_rank("s", student, candidates, 5, 0.8)
-        result = rank("s", student, candidates, k=5)
+        [result] = match_corpus([("s", student)], candidates, k=5)
         assert result.candidate_ids() == tuple(cid for cid, _ in expected)
         for (got_id, got), (_, want) in zip(result.ranked, expected):
             assert got == want, got_id
@@ -64,7 +63,7 @@ def test_rank_breaks_ties_by_candidate_id():
     student = AttributeProfile(gender="female")
     twin = AttributeProfile(gender="female")
     candidates = [("c9", twin), ("c1", twin), ("c5", twin)]
-    result = rank("s", student, candidates, k=3)
+    [result] = match_corpus([("s", student)], candidates, k=3)
     assert result.candidate_ids() == ("c1", "c5", "c9")
 
 
@@ -73,7 +72,7 @@ def test_rank_puts_no_signal_candidates_last():
     scoreless = AttributeProfile(location="nowhere")   # nothing comparable
     weak = AttributeProfile(gender="male")             # comparable but 0.0
     candidates = [("c1", scoreless), ("c2", weak)]
-    result = rank("s", student, candidates, k=2)
+    [result] = match_corpus([("s", student)], candidates, k=2)
     assert result.candidate_ids() == ("c2", "c1")
     assert result.ranked[0][1].combined == 0.0
     assert not result.ranked[0][1].no_signal
@@ -83,7 +82,7 @@ def test_rank_puts_no_signal_candidates_last():
 def test_rank_k_larger_than_pool_returns_everything():
     rng = random.Random(3)
     candidates = random_pool(rng, 4, "c")
-    result = rank("s", random_profile(rng), candidates, k=10)
+    [result] = match_corpus([("s", random_profile(rng))], candidates, k=10)
     assert len(result.ranked) == 4
 
 
@@ -298,6 +297,44 @@ def test_state_accuracy_dominates_city_accuracy_on_random_data():
     state_report = evaluate(results, annotations, "state-all")
     for n in range(1, 6):
         assert state_report.accuracy_at(n) >= city_report.accuracy_at(n)
+
+
+def test_evaluate_and_is_correct_match_equal_the_pairwise_oracle_on_random_annotations():
+    rng = random.Random(29)
+    # Mostly one value in mixed case and spacing, so that many pairs match.
+    genders = ("female",) * 6 + ("male", None)
+    races = ("Asian",) * 6 + ("White", None)
+    cities = ("Dallas", "  dallas ", "DALLAS\t", "dallas", "New  York   City", "Walla Walla", None)
+    states = ("TX", " tx", "Tx  ", "MA", None)
+
+    def random_annotation(subject_id, role_model=None):
+        return annotation(subject_id, gender=rng.choice(genders), race=rng.choice(races),
+                          city=rng.choice(cities), state=rng.choice(states),
+                          role_model=role_model)
+
+    annotations = {f"s{i}": random_annotation(f"s{i}") for i in range(80)}
+    annotations.update(
+        (f"c{j}", random_annotation(f"c{j}", rng.choice((True, True, False, None))))
+        for j in range(12)
+    )
+    silent = SimilarityBreakdown(None, None, None, None, 0.0, True)
+    scored = SimilarityBreakdown(1.0, None, None, None, 1.0, False)
+    results = [  # c12..c14 are ranked but have no annotation row
+        MatchResult(f"s{i}", tuple((f"c{j}", rng.choice((silent, scored)))
+                                   for j in rng.sample(range(15), rng.randint(0, 5))))
+        for i in range(80)
+    ]
+    for level in LEVELS:
+        report = evaluate(results, annotations, level)
+        assert (report.cohort_size, report.accuracies, report.no_signal_students) == \
+            oracles.evaluation(results, annotations, level, DEFAULT_TOP10_CITIES), level
+        for result in results:
+            student = annotations[result.student_id]
+            for cid in result.candidate_ids():
+                if cid in annotations:
+                    assert is_correct_match(student, annotations[cid], level) == \
+                        oracles.correct_match(student, annotations[cid], level), (level, cid)
+    assert any(evaluate(results, annotations, level).accuracy_at(2) > 0 for level in LEVELS)
 
 
 def test_levels_are_the_four_documented_ones():

@@ -216,6 +216,17 @@ def test_errors_name_the_failing_stage(tmp_path, corpus):
     assert err.value.stage == "identify"
 
 
+def test_bad_student_rows_fail_the_label_stage_naming_the_file(tmp_path, corpus):
+    rows = corpus["students"].read_text(encoding="utf-8").splitlines(keepends=True)
+    students = tmp_path / "students.jsonl"
+    students.write_text(rows[0] + "{broken\n" + "".join(rows[1:]) + "[1, 2]\n",
+                        encoding="utf-8")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(make_config(corpus, tmp_path / "out", students=students))
+    assert err.value.stage == "label"
+    assert f"2 bad student rows in {students} (first: line 2: invalid JSON" in str(err.value)
+
+
 @pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
 def test_a_bad_annotations_line_fails_the_report_stage_by_file_and_line(tmp_path, corpus,
                                                                         bad_line):

@@ -212,32 +212,62 @@ def test_write_then_read_jsonl_round_trips(tmp_path):
 def test_read_jsonl_raises_on_malformed_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"ok": 1}\n{broken\n', encoding="utf-8")
-    with pytest.raises(RecordError):
+    with pytest.raises(RecordError) as err:
         read_jsonl(path)
+    assert str(err.value).startswith(f"{path} line 2: invalid JSON")
 
 
-# Every strict loader, each with one row it accepts.
+class OddRow(ValueError):
+    pass
+
+
+def test_read_jsonl_builds_one_item_per_row_and_keeps_the_error_type(tmp_path):
+    def build(row):
+        if row["n"] < 0:
+            raise OddRow("negative n")
+        return row["n"] * 10
+
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"n": 1}\n\n{"n": 2}\n', encoding="utf-8")
+    assert read_jsonl(path, build) == [10, 20]
+    path.write_text('{"n": 1}\n\n{"n": -2}\n', encoding="utf-8")
+    with pytest.raises(OddRow) as err:
+        read_jsonl(path, build)
+    assert str(err.value) == f"{path} line 3: negative n"
+
+
+# Every strict loader, each with one row it accepts and one valid JSON
+# object it rejects: a duplicate id, a wrongly typed field or an invalid
+# record.  ``read_jsonl`` is given a row builder, since on its own it
+# accepts every object.
 STRICT_LOADERS = {
-    "read_jsonl": (read_jsonl, '{"id": "a"}'),
-    "read_labels": (read_labels, '{"id": "a", "label": "college"}'),
-    "load_rules": (load_rules, '{"pattern": "x", "label": "college", "description": "x"}'),
-    "load_taxonomy": (load_taxonomy, '{"industry": "A", "group": "STEM"}'),
-    "load_majors": (load_majors, '{"major": "Physics"}'),
-    "load_profiles": (load_profiles, '{"id": "a"}'),
-    "load_annotations": (load_annotations, '{"subject_id": "a"}'),
-    "load_matches": (load_matches, '{"student_id": "a", "ranked": []}'),
-    "load_rolemodels": (load_rolemodels, json.dumps(candidate_row())),
+    "read_jsonl": (lambda path: read_jsonl(path, AttributeProfile.from_dict),
+                   '{"id": "a"}', '{"gender": "FEMALE"}'),
+    "read_labels": (read_labels, '{"id": "a", "label": "college"}',
+                    '{"id": "b", "label": "maybe"}'),
+    "load_rules": (load_rules, '{"pattern": "x", "label": "college", "description": "x"}',
+                   '{"pattern": "(", "label": "college", "description": "y"}'),
+    "load_taxonomy": (load_taxonomy, '{"industry": "A", "group": "STEM"}',
+                      '{"industry": " a ", "group": "STEM"}'),
+    "load_majors": (load_majors, '{"major": "Physics"}',
+                    '{"major": "Astronomy", "aliases": ["PHYSICS"]}'),
+    "load_profiles": (load_profiles, '{"id": "a"}', '{"id": "a"}'),
+    "load_annotations": (load_annotations, '{"subject_id": "a"}', '{"subject_id": "a"}'),
+    "load_matches": (load_matches, '{"student_id": "a", "ranked": []}',
+                     '{"student_id": "b", "ranked": [[1]]}'),
+    "load_rolemodels": (load_rolemodels, json.dumps(candidate_row()),
+                        json.dumps(candidate_row(id="c2", location_raw=""))),
 }
 
 
-@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]"])
+@pytest.mark.parametrize("bad_line", ["{broken", "[1, 2]", pytest.param(None, id="invalid-row")])
 @pytest.mark.parametrize("loader", STRICT_LOADERS)
 def test_every_strict_loader_names_the_file_and_line_of_a_bad_line(tmp_path, loader, bad_line):
-    load, good_line = STRICT_LOADERS[loader]
+    load, good_line, invalid_row = STRICT_LOADERS[loader]
     path = tmp_path / "rows.jsonl"
     path.write_text(good_line + "\n", encoding="utf-8")
     load(path)
-    path.write_text(f"\n{good_line}\n{bad_line}\n", encoding="utf-8")
+    path.write_text(f"\n{good_line}\n{bad_line or invalid_row}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
         load(path)
     assert f"{path} line 3" in str(err.value)
@@ -264,6 +294,8 @@ def test_profile_vocabulary_checks():
         AttributeProfile(race="api")
     with pytest.raises(RecordError):
         AttributeProfile(location="")
+    with pytest.raises(RecordError):
+        AttributeProfile.from_dict({"location": 5})
 
 
 def test_profile_interests_must_be_clean():
