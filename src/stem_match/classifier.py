@@ -182,12 +182,16 @@ def train(features: Sequence[FeatureVector], labels: Sequence[str],
     if len(features) != len(labels):
         raise ClassifierError("features and labels must align")
     y = _signs(labels)
+    return _fit(_design_matrix(features, config.active_features()), y, config)
+
+
+def _fit(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> ClassifierModel:
+    """``train`` on a design matrix and its ±1 labels."""
     n_pos = int(np.sum(y > 0))
     n_neg = len(y) - n_pos
     if n_pos < 2 or n_neg < 2:
         raise ClassifierError("need at least 2 examples of each class to train")
     active = config.active_features()
-    X = _design_matrix(features, active)
     n = len(y)
 
     w = np.zeros(len(active))
@@ -237,7 +241,8 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
 
     Examples are shuffled per class with the config seed and dealt
     round-robin (class by class through a shared counter) so fold sizes
-    differ by at most one and every fold is populated when n ≥ k.
+    differ by at most one and every fold is populated when n ≥ k.  The
+    design matrix is built once and each fold trains on its rows.
     """
     if k < 2:
         raise ClassifierError("cross-validation needs k >= 2")
@@ -246,6 +251,7 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
     if len(features) < k:
         raise ClassifierError(f"need at least k={k} labeled examples, got {len(features)}")
     y = _signs(labels)  # validates label values up front
+    X = _design_matrix(features, config.active_features())
 
     rng = np.random.default_rng(config.seed)
     fold_of = np.empty(len(labels), dtype=int)
@@ -261,7 +267,7 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
     for fold in range(k):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
-        model = train([features[i] for i in train_idx], [labels[i] for i in train_idx], config)
+        model = _fit(X[train_idx], y[train_idx], config)
         hits = sum(1 for i in test_idx if infer(model, features[i]) == labels[i])
         accuracies.append(hits / len(test_idx))
     return float(np.mean(accuracies))

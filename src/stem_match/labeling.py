@@ -4,7 +4,10 @@ Rules are case-insensitive regular expressions matched independently
 against the bio and against every tweet.  A student matching only college
 rules is labeled college, only non-college rules non-college; matching
 both sides is a conflict and leaves the student unlabeled with both rule
-sets recorded for review.  Rules live in an editable JSON Lines file, and
+sets recorded for review.  Each rule is gated by a literal it requires
+(``LabelRule.gate``): its regex runs only for students whose case-folded
+text contains that literal, which skips most searches and leaves every
+label unchanged.  Rules live in an editable JSON Lines file, and
 a labels file may carry a manual ``override`` column that takes precedence
 over the weak label downstream.
 """
@@ -12,11 +15,17 @@ over the weak label downstream.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .records import DATA_DIR, StudentRecord, read_jsonl
+
+if sys.version_info >= (3, 11):
+    from re import _parser as _sre_parse
+else:  # ``sre_parse`` is deprecated from 3.11 on
+    import sre_parse as _sre_parse
 
 COLLEGE = "college"
 NON_COLLEGE = "non-college"
@@ -28,13 +37,61 @@ class LabelError(ValueError):
     """Raised for invalid rules or label files."""
 
 
+# Under re.IGNORECASE the only non-ASCII characters that match an ASCII
+# character are these three and the Kelvin sign, which str.lower() already
+# maps to "k".  str.lower() leaves "ı" and "ſ" as they are and turns "İ"
+# into "i" plus a combining dot, so they are mapped first.
+_ASCII_TWINS = {"\u0130": "i", "\u0131": "i", "\u017f": "s"}
+_TO_ASCII_TWIN = str.maketrans(_ASCII_TWINS)
+
+
+def _fold(text: str) -> str:
+    """``text`` lowercased so that every ASCII literal a case-insensitive
+    regex matches in it appears in the result as its lowercase form."""
+    if not text.isascii() and any(twin in text for twin in _ASCII_TWINS):
+        text = text.translate(_TO_ASCII_TWIN)
+    return text.lower()
+
+
+def _required_literals(items) -> tuple[str, ...]:
+    """Lowercase ASCII literals, one of which every match of ``items`` contains.
+
+    ``items`` is a parsed regex sequence.  Each maximal run of ASCII
+    ``LITERAL`` ops is required, and so is a ``BRANCH`` whose every
+    alternative requires literals of its own, as an any-of set.  Of these
+    the one whose shortest literal is longest is kept; none gives ``()``.
+    """
+    candidates: list[tuple[str, ...]] = []
+    run: list[str] = []
+    for op, av in [*items, (None, None)]:
+        if op is _sre_parse.LITERAL and av < 0x80:
+            run.append(chr(av))
+            continue
+        if run:
+            candidates.append(("".join(run).lower(),))
+            run = []
+        if op is _sre_parse.BRANCH:
+            alternatives = [_required_literals(alt) for alt in av[1]]
+            if all(alternatives):
+                candidates.append(tuple(dict.fromkeys(sum(alternatives, ()))))
+    return max(candidates, key=lambda literals: min(map(len, literals)), default=())
+
+
 @dataclass(frozen=True)
 class LabelRule:
-    """One labeling rule: a regex pattern voting for one label."""
+    """One labeling rule: a regex pattern voting for one label.
+
+    ``gate`` holds lowercase ASCII literals taken from the pattern's parse
+    tree, one of which every match contains (empty when the pattern has
+    none).  A text the pattern matches therefore folds, under ``_fold``, to
+    a string containing a gate literal, and a student whose folded text
+    contains none cannot match the rule.
+    """
 
     pattern: str
     label: str
     description: str
+    gate: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.label not in (COLLEGE, NON_COLLEGE):
@@ -44,6 +101,16 @@ class LabelRule:
         except re.error as exc:
             raise LabelError(f"rule {self.description!r}: invalid pattern: {exc}") from exc
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "gate", _required_literals(
+            _sre_parse.parse(self.pattern, re.IGNORECASE)))
+
+    def may_match(self, folded: str) -> bool:
+        """Whether a student whose ``_fold``-ed text is ``folded`` can match:
+        it holds a gate literal, or the gate is empty."""
+        for literal in self.gate:
+            if literal in folded:
+                return True
+        return not self.gate
 
     def matches(self, record: StudentRecord) -> bool:
         """True when the pattern hits the bio or any single tweet."""
@@ -86,14 +153,16 @@ def label_student(record: StudentRecord, rules: Sequence[LabelRule]) -> WeakLabe
     """Apply every rule to one student and combine the votes.
 
     Idempotent and independent of rule order up to the ordering of the
-    recorded rule descriptions, which follows the given rule sequence.
+    recorded rule descriptions, which follows the given rule sequence.  A
+    rule's regex runs only when its gate admits the student's folded bio
+    and tweets, joined by newlines.
     """
     if not rules:
         raise LabelError("rule list must be nonempty")
-    college_hits = tuple(r.description for r in rules if r.label == COLLEGE and r.matches(record))
-    non_college_hits = tuple(
-        r.description for r in rules if r.label == NON_COLLEGE and r.matches(record)
-    )
+    folded = _fold("\n".join((record.bio, *record.tweets)))
+    hits = [r for r in rules if r.may_match(folded) and r.matches(record)]
+    college_hits = tuple(r.description for r in hits if r.label == COLLEGE)
+    non_college_hits = tuple(r.description for r in hits if r.label == NON_COLLEGE)
     if college_hits and non_college_hits:
         return WeakLabel(UNLABELED, (), college_hits, non_college_hits)
     if college_hits:

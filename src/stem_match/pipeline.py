@@ -29,8 +29,8 @@ from . import matching
 from . import pages as pages_mod
 from . import rolemodels
 from .matching import GroundTruthAnnotation, MatchResult
-from .records import (AttributeProfile, CandidateRecord, LoadResult, StudentRecord,
-                      load_candidates, load_students, read_jsonl, write_jsonl)
+from .records import (AttributeProfile, CandidateRecord, LoadResult, RecordError,
+                      StudentRecord, load_candidates, load_students, read_jsonl, write_jsonl)
 
 STAGES = ("label", "classify", "identify", "attributes", "rank", "report", "pages")
 
@@ -273,9 +273,20 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
 
 
 def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]:
-    """Role models as the identify stage wrote them, and the reason each was kept."""
-    pairs = read_jsonl(path, lambda row: (CandidateRecord.from_dict(row),
-                                          row.get("reason", "unknown")))
+    """Role models as the identify stage wrote them, and the reason each was kept.
+
+    A repeated role-model id is fatal, like any other invalid row.
+    """
+    seen: set[str] = set()
+
+    def build(row: dict) -> tuple[CandidateRecord, str]:
+        record = CandidateRecord.from_dict(row)
+        if record.id in seen:
+            raise RecordError(f"duplicate role-model id {record.id!r}")
+        seen.add(record.id)
+        return record, row.get("reason", "unknown")
+
+    pairs = read_jsonl(path, build)
     return [record for record, _ in pairs], [reason for _, reason in pairs]
 
 

@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
 matching, a per-pair full sort for ranking, a per-character range
-test for emoji, separate HAHA and LOL searches for laughter, and a
+test for emoji, separate HAHA and LOL searches for laughter, every rule's
+regex on every text with no literal gate for weak labels, and a
 field-by-field comparison per ranked pair for match accuracy, so
 agreement is evidence rather than tautology.
 """
@@ -14,6 +15,7 @@ import re
 from functools import lru_cache
 
 from stem_match.classifier import EMOJI_RANGES
+from stem_match.labeling import COLLEGE, NON_COLLEGE, UNLABELED, WeakLabel
 from stem_match.similarity import combined_score
 
 
@@ -90,6 +92,28 @@ _LOL = re.compile(r"\bLO+L\b")
 def contains_hahalol(text: str) -> bool:
     """Search ``text`` for a HAHA token, then separately for a LOL token."""
     return _HAHA.search(text) is not None or _LOL.search(text) is not None
+
+
+def label_student(record, rules) -> WeakLabel:
+    """Search every rule's regex in the bio and in each tweet, with no gate."""
+
+    def matches(rule) -> bool:
+        compiled = re.compile(rule.pattern, re.IGNORECASE)
+        if compiled.search(record.bio):
+            return True
+        return any(compiled.search(tweet) for tweet in record.tweets)
+
+    college_hits = tuple(r.description for r in rules if r.label == COLLEGE and matches(r))
+    non_college_hits = tuple(
+        r.description for r in rules if r.label == NON_COLLEGE and matches(r)
+    )
+    if college_hits and non_college_hits:
+        return WeakLabel(UNLABELED, (), college_hits, non_college_hits)
+    if college_hits:
+        return WeakLabel(COLLEGE, college_hits)
+    if non_college_hits:
+        return WeakLabel(NON_COLLEGE, non_college_hits)
+    return WeakLabel(UNLABELED)
 
 
 def _place(text: str) -> str:

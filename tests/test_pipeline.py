@@ -194,6 +194,25 @@ def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, lo
     assert tree_bytes(out) == tree_bytes(fresh)
 
 
+def test_a_repeated_role_model_fails_a_resume_naming_file_line_and_id(tmp_path, corpus):
+    out = tmp_path / "out"
+    run_pipeline(make_config(corpus, out))
+    rolemodels = out / "rolemodels.jsonl"
+    rows = rolemodels.read_text(encoding="utf-8").splitlines(keepends=True)
+    rolemodels.write_text("".join(rows) + rows[0], encoding="utf-8")
+    for name in files_from("attributes"):
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
+        else:
+            (out / name).unlink()
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(make_config(corpus, out), resume=True)
+    assert err.value.stage == "attributes"
+    repeated = json.loads(rows[0])["id"]
+    assert f"{rolemodels} line {len(rows) + 1}: duplicate role-model id {repeated!r}" in str(
+        err.value)
+
+
 def test_rerun_with_a_smaller_cohort_removes_pages_of_departed_students(tmp_path, corpus):
     out = tmp_path / "out"
     run_pipeline(make_config(corpus, out))
