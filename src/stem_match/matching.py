@@ -84,6 +84,12 @@ class CandidateIndex:
     bitmasks for the fuzzy-overlap matching.  Scoring through the index is
     arithmetic-identical to calling ``similarity.combined_score`` pair by
     pair; the ranking oracle test in the suite holds it to that.
+
+    ``score`` memoizes the interest component of the last interest set it
+    scored, as one ``(key, sims, present)`` entry: a student whose set
+    equals the previous student's reuses those arrays, so scoring students
+    grouped by interest set (as ``match_corpus`` does) computes each set's
+    component once.  Arrays shared across calls are read-only.
     """
 
     def __init__(self, candidates: Sequence[tuple[str, AttributeProfile]],
@@ -126,7 +132,12 @@ class CandidateIndex:
         self._vocab_words = list(vocab)
         self._cand_sizes = [len(t) for t in self._cand_interests]
         self._student_mask_cache: dict[str, int] = {}
+        self._interest_present = _read_only(np.array([size > 0 for size in self._cand_sizes],
+                                                     dtype=bool))
+        self._interest_memo: tuple = (None, None, None)
 
+    # perfbench/tracing.py counts pairs scored as len(index) on each traced
+    # CandidateIndex.score call (COUNTERS["matching.CandidateIndex.score"]).
     def __len__(self) -> int:
         return len(self.profiles)
 
@@ -189,7 +200,10 @@ class CandidateIndex:
         total += sims * present
         count += present
 
-        interest_sims, interest_present = self._interest_component(student)
+        if self._interest_memo[0] != student.interests:
+            self._interest_memo = (student.interests,
+                                   *self._interest_component(student.interests))
+        _, interest_sims, interest_present = self._interest_memo
         components["interest"] = (interest_sims, interest_present)
         total += interest_sims * interest_present
         count += interest_present
@@ -198,13 +212,13 @@ class CandidateIndex:
         combined = np.divide(total, count, out=np.zeros(n), where=~no_signal)
         return combined, no_signal, components
 
-    def _interest_component(self, student: AttributeProfile) -> tuple[np.ndarray, np.ndarray]:
+    def _interest_component(self, interests: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only interest similarities and presence flags for one interest set."""
         n = len(self.profiles)
         sims = np.zeros(n)
-        if not student.interests:
-            return sims, np.zeros(n, dtype=bool)
-        present = np.array([size > 0 for size in self._cand_sizes])
-        left_masks = [self._interest_mask(s) for s in sorted(student.interests)]
+        if not interests:
+            return _read_only(sims), _read_only(np.zeros(n, dtype=bool))
+        left_masks = [self._interest_mask(s) for s in sorted(interests)]
         union = 0
         for mask in left_masks:
             union |= mask
@@ -219,7 +233,12 @@ class CandidateIndex:
             if union & cand_masks[i]:
                 m = _matching_size(left_masks, cand_interests[i])
             sims[i] = m / (p + q - m)
-        return sims, present
+        return _read_only(sims), self._interest_present
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _encode(values: Sequence[str | None]) -> tuple[np.ndarray, dict[str, int]]:
@@ -291,7 +310,12 @@ def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
                  candidates: Sequence[tuple[str, AttributeProfile]],
                  k: int = DEFAULT_K,
                  threshold: float = DEFAULT_FUZZY_THRESHOLD) -> list[MatchResult]:
-    """Rank candidates for every student; one result per student, in order."""
+    """Rank candidates for every student; one result per student, in order.
+
+    Students are scored grouped by interest set, so that the index computes
+    each distinct set's interest component once; every result goes back to
+    its student's input position.
+    """
     if not students:
         return []
     if not candidates:
@@ -299,7 +323,9 @@ def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
     if k < 1:
         raise MatchError(f"k must be >= 1, got {k}")
     index = CandidateIndex(candidates, threshold)
-    return [_select_top(index, student_id, profile, k) for student_id, profile in students]
+    order = sorted(range(len(students)), key=lambda i: tuple(sorted(students[i][1].interests)))
+    results = {i: _select_top(index, *students[i], k) for i in order}
+    return [results[i] for i in range(len(students))]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from stem_match import matching
 from stem_match.matching import (
     DEFAULT_TOP10_CITIES,
     LEVELS,
@@ -117,6 +118,98 @@ def test_index_scores_agree_with_pairwise_scoring_exactly():
             breakdown = combined_score(student, profile, 0.8)
             assert combined[pos] == breakdown.combined, cid
             assert bool(no_signal[pos]) == breakdown.no_signal, cid
+
+
+def test_candidate_index_length_is_the_candidate_count():
+    rng = random.Random(5)
+    candidates = random_pool(rng, 17, "c")
+    assert len(CandidateIndex(candidates, 0.8)) == 17
+
+
+# ---------------------------------------------------------------------------
+# Students who share an interest set share one interest component
+# ---------------------------------------------------------------------------
+
+# "robotics", "robotic", "robot" and "robots" fuzzy-match one another in
+# chains at 0.8, so a three-interest set drawn from them runs Kuhn's
+# algorithm rather than a closed form.
+FUZZY_TAGS = ("robotics", "robotic", "robot", "robots", "chess", "baking")
+SHARED_SETS = (
+    frozenset(),
+    frozenset({"chess"}),
+    frozenset({"robotics", "robotic", "robot"}),
+    frozenset({"robots", "robotic", "chess", "baking"}),
+)
+
+
+def shared_set_population(seed):
+    """Candidates with repeated profiles (so scores tie) and students who
+    draw their interests from a few sets but differ in gender, race and
+    location, shuffled so that input order is not interest-set order, plus
+    exact duplicates of some students under new ids."""
+    rng = random.Random(seed)
+    pool = [
+        (f"c{i:03d}", AttributeProfile(
+            gender=rng.choice(GENDERS), race=rng.choice(RACES), location=rng.choice(CITIES),
+            interests=frozenset(rng.sample(FUZZY_TAGS, rng.randint(0, 4)))))
+        for i in range(60)
+    ]
+    candidates = pool + [(f"d{i:03d}", profile) for i, (_, profile) in enumerate(pool[:20])]
+    students = [
+        (f"s{i:03d}", AttributeProfile(
+            gender=rng.choice(GENDERS), race=rng.choice(RACES), location=rng.choice(CITIES),
+            interests=rng.choice(SHARED_SETS)))
+        for i in range(48)
+    ]
+    students += [(f"t{i:03d}", profile) for i, (_, profile) in enumerate(students[:6])]
+    rng.shuffle(students)
+    return students, candidates
+
+
+def test_match_corpus_on_shared_interest_sets_equals_the_full_sort_oracle_in_input_order(
+        monkeypatch):
+    kuhn_calls = []
+    kuhn = matching.max_matching_size
+    monkeypatch.setattr(matching, "max_matching_size",
+                        lambda adj, n: kuhn_calls.append(n) or kuhn(adj, n))
+    students, candidates = shared_set_population(13)
+    results = match_corpus(students, candidates, k=5)
+
+    assert [r.student_id for r in results] == [sid for sid, _ in students]
+    for (student_id, student), got in zip(students, results):
+        want = oracles.full_sort_rank(student_id, student, candidates, 5, 0.8)
+        assert got.ranked == tuple(want), student_id
+    assert kuhn_calls
+    assert {s.interests for _, s in students} == set(SHARED_SETS)
+    assert any(len({b.combined for _, b in r.ranked}) < len(r.ranked) for r in results)
+
+
+def test_match_corpus_computes_each_distinct_interest_set_once(monkeypatch):
+    components, scores = [], []
+    component = CandidateIndex._interest_component
+    score = CandidateIndex.score
+    monkeypatch.setattr(CandidateIndex, "_interest_component",
+                        lambda self, interests: components.append(interests)
+                        or component(self, interests))
+    monkeypatch.setattr(CandidateIndex, "score",
+                        lambda self, student: scores.append(student) or score(self, student))
+    students, candidates = shared_set_population(29)
+    match_corpus(students, candidates, k=5)
+
+    assert len(scores) == len(students)
+    assert sorted(components, key=sorted) == sorted({s.interests for _, s in students}, key=sorted)
+
+
+def test_shared_interest_arrays_are_read_only():
+    rng = random.Random(2)
+    index = CandidateIndex(random_pool(rng, 30, "c"), 0.8)
+    for interests in (frozenset({"chess", "robotic"}), frozenset()):
+        _, _, first = index.score(AttributeProfile(gender="female", interests=interests))
+        _, _, again = index.score(AttributeProfile(race="Asian", interests=interests))
+        assert again["interest"][0] is first["interest"][0]
+        for array in first["interest"]:
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 def test_match_result_rejects_duplicate_candidates():
