@@ -32,6 +32,12 @@ from .similarity import (
 
 DEFAULT_K = 5
 
+# Elements of one block's ``B × n`` score arrays: ``match_corpus`` scores
+# ``B = max(1, _BLOCK_ELEMENTS // n)`` students per ``CandidateIndex.score``
+# call, which keeps each float64 array of a block within 128 kB unless one
+# student's row of ``n`` is larger on its own.
+_BLOCK_ELEMENTS = 1 << 14
+
 LEVEL_CITY_ALL = "city-all"
 LEVEL_STATE_ALL = "state-all"
 LEVEL_CITY_TOP10 = "city-top10"
@@ -85,11 +91,13 @@ class CandidateIndex:
     arithmetic-identical to calling ``similarity.combined_score`` pair by
     pair; the ranking oracle test in the suite holds it to that.
 
-    ``score`` memoizes the interest component of the last interest set it
-    scored, as one ``(key, sims, present)`` entry: a student whose set
-    equals the previous student's reuses those arrays, so scoring students
-    grouped by interest set (as ``match_corpus`` does) computes each set's
-    component once.  Arrays shared across calls are read-only.
+    ``score`` takes a block of students and returns ``B × n`` arrays.  It
+    memoizes the interest component of the last interest set it scored, as
+    one ``(key, sims, present)`` entry that outlives the call: a student
+    whose set equals the previous student's reuses those arrays, so scoring
+    students grouped by interest set (as ``match_corpus`` does) computes
+    each set's component once, even for a set split across two blocks.
+    Arrays shared across calls are read-only.
     """
 
     def __init__(self, candidates: Sequence[tuple[str, AttributeProfile]],
@@ -100,7 +108,10 @@ class CandidateIndex:
         if len(ids) != len(set(ids)):
             raise MatchError("duplicate candidate ids")
         self.threshold = threshold
-        self.ids = np.array(ids)
+        self.ids = ids
+        # Candidate positions in id order: a candidate's place here is its
+        # integer id rank, the last sort key of a ranking.
+        self._by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=int)
         self.profiles = [profile for _, profile in candidates]
         n = len(self.profiles)
 
@@ -162,54 +173,57 @@ class CandidateIndex:
             self._loc_sim_cache[student_location] = sims
         return sims
 
-    def score(self, student: AttributeProfile) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Combined scores and no-signal flags for one student vs all candidates.
+    def score(self, students: Sequence[AttributeProfile]
+              ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Combined scores and no-signal flags for a block of students vs all candidates.
 
-        Returns (combined, no_signal, components); components holds the
-        per-attribute similarity arrays and their presence masks for
-        assembling breakdowns.
+        Returns (combined, no_signal, components) as ``B × n`` arrays, one
+        row per student; components holds the per-attribute similarity
+        arrays and their presence masks for assembling breakdowns.
         """
-        n = len(self.profiles)
-        total = np.zeros(n)
-        count = np.zeros(n, dtype=int)
+        shape = (len(students), len(self.profiles))
         components: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-        for name, value, codes, vocab in (
-            ("gender", student.gender, self._gender_codes, self._gender_vocab),
-            ("race", student.race, self._race_codes, self._race_vocab),
+        for name, values, codes, vocab in (
+            ("gender", [s.gender for s in students], self._gender_codes, self._gender_vocab),
+            ("race", [s.race for s in students], self._race_codes, self._race_vocab),
         ):
-            if value is None:
-                present = np.zeros(n, dtype=bool)
-                sims = np.zeros(n)
-            else:
-                present = codes >= 0
-                code = vocab.get(value, -2)  # -2: never equals an encoded value
-                sims = np.where(present & (codes == code), 1.0, 0.0)
-            components[name] = (sims, present)
+            # -2 never equals an encoded value
+            wanted = np.array([-2 if v is None else vocab.get(v, -2) for v in values], dtype=int)
+            present = np.array([v is not None for v in values], dtype=bool)[:, None] & (codes >= 0)
+            components[name] = ((wanted[:, None] == codes).astype(float), present)
+
+        # Row of each student's normalized location in a table of the
+        # block's distinct locations, -1 for a student without one.
+        rows: dict[str, int] = {}
+        located = np.array([
+            -1 if s.location is None
+            else rows.setdefault(normalize_location(s.location), len(rows))
+            for s in students
+        ], dtype=int)
+        present = (located >= 0)[:, None] & (self._loc_codes >= 0)
+        sims = np.zeros(shape)
+        if rows and self._loc_vocab:
+            table = np.stack([self._location_sims(location) for location in rows])
+            by_code = table[np.maximum(located, 0)[:, None], np.maximum(self._loc_codes, 0)]
+            sims = np.where(present, by_code, 0.0)
+        components["location"] = (sims, present)
+
+        interest = []
+        for student in students:
+            if self._interest_memo[0] != student.interests:
+                self._interest_memo = (student.interests,
+                                       *self._interest_component(student.interests))
+            interest.append(self._interest_memo[1:])
+        components["interest"] = tuple(np.stack(arrays) for arrays in zip(*interest))
+
+        total = np.zeros(shape)
+        count = np.zeros(shape, dtype=int)
+        for sims, present in components.values():
             total += sims * present
             count += present
-
-        present = np.zeros(n, dtype=bool)
-        sims = np.zeros(n)
-        if student.location is not None:
-            present = self._loc_codes >= 0
-            if self._loc_vocab:
-                by_code = self._location_sims(normalize_location(student.location))
-                sims = np.where(present, by_code[np.maximum(self._loc_codes, 0)], 0.0)
-        components["location"] = (sims, present)
-        total += sims * present
-        count += present
-
-        if self._interest_memo[0] != student.interests:
-            self._interest_memo = (student.interests,
-                                   *self._interest_component(student.interests))
-        _, interest_sims, interest_present = self._interest_memo
-        components["interest"] = (interest_sims, interest_present)
-        total += interest_sims * interest_present
-        count += interest_present
-
         no_signal = count == 0
-        combined = np.divide(total, count, out=np.zeros(n), where=~no_signal)
+        combined = np.divide(total, count, out=np.zeros(shape), where=~no_signal)
         return combined, no_signal, components
 
     def _interest_component(self, interests: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -282,28 +296,42 @@ def _matching_size(left_masks: Sequence[int], right_indices: Sequence[int]) -> i
     return max_matching_size(adj, len(right_indices))
 
 
-def _select_top(index: CandidateIndex, student_id: str, student: AttributeProfile,
-                k: int) -> MatchResult:
-    combined, no_signal, components = index.score(student)
-    order = np.lexsort((index.ids, -combined, no_signal))
-    top = order[: min(k, len(order))]
+def _select_top(index: CandidateIndex, block: Sequence[tuple[str, AttributeProfile]],
+                k: int) -> list[MatchResult]:
+    """Top-k results for a block of students, exactly as a full sort orders them.
 
-    ranked = []
-    for i in top:
-        parts = {}
-        for name in ("gender", "race", "location", "interest"):
-            sims, present = components[name]
-            parts[name] = float(sims[i]) if present[i] else None
-        breakdown = SimilarityBreakdown(
-            gender=parts["gender"],
-            race=parts["race"],
-            location=parts["location"],
-            interest=parts["interest"],
-            combined=float(combined[i]),
-            no_signal=bool(no_signal[i]),
-        )
-        ranked.append((str(index.ids[i]), breakdown))
-    return MatchResult(student_id, tuple(ranked))
+    A candidate's sort key is (no-signal, -combined, id rank); the first two
+    fold into one float, ``1.0`` for no-signal and ``-combined`` otherwise.
+    Per student, every candidate whose key is below the k-th smallest key
+    wins, and those tied with it win in id order until k have won.  Columns
+    are taken in id order, so a stable sort of the winners' keys orders
+    them by (key, id rank).  Breakdowns are built for the winners only.
+    """
+    combined, no_signal, components = index.score([student for _, student in block])
+    key = np.where(no_signal, 1.0, -combined)[:, index._by_id]
+    k = min(k, key.shape[1])
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
+    below = key < kth
+    tied = key == kth
+    won = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    columns = np.nonzero(won)[1].reshape(len(block), k)
+    columns = np.take_along_axis(
+        columns, np.argsort(np.take_along_axis(key, columns, 1), axis=1, kind="stable"), 1)
+    top = index._by_id[columns]
+
+    def pick(array: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(array, top, 1)
+
+    parts = [np.where(pick(components[name][1]), pick(components[name][0]), None)
+             for name in ("gender", "race", "location", "interest")]
+    # One row of breakdown fields per winner: four components (None where
+    # absent), combined and no_signal, as Python floats and bools.
+    breakdowns = np.stack(parts + [pick(combined), pick(no_signal)], axis=2).tolist()
+    return [
+        MatchResult(student_id, tuple((index.ids[i], SimilarityBreakdown(*fields))
+                                      for i, fields in zip(winners, student_fields)))
+        for (student_id, _), winners, student_fields in zip(block, top.tolist(), breakdowns)
+    ]
 
 
 def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
@@ -313,8 +341,9 @@ def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
     """Rank candidates for every student; one result per student, in order.
 
     Students are scored grouped by interest set, so that the index computes
-    each distinct set's interest component once; every result goes back to
-    its student's input position.
+    each distinct set's interest component once, in blocks of
+    ``max(1, _BLOCK_ELEMENTS // n)`` students for ``n`` candidates; every
+    result goes back to its student's input position.
     """
     if not students:
         return []
@@ -324,8 +353,13 @@ def match_corpus(students: Sequence[tuple[str, AttributeProfile]],
         raise MatchError(f"k must be >= 1, got {k}")
     index = CandidateIndex(candidates, threshold)
     order = sorted(range(len(students)), key=lambda i: tuple(sorted(students[i][1].interests)))
-    results = {i: _select_top(index, *students[i], k) for i in order}
-    return [results[i] for i in range(len(students))]
+    size = max(1, _BLOCK_ELEMENTS // len(index))
+    results: list[MatchResult | None] = [None] * len(students)
+    for start in range(0, len(order), size):
+        block = order[start:start + size]
+        for i, result in zip(block, _select_top(index, [students[i] for i in block], k)):
+            results[i] = result
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -70,27 +70,27 @@ def build_page_spec(result: MatchResult, greeting_name: str,
     """
     if not result.ranked:
         raise PageError(f"match result for {result.student_id!r} is empty")
-    entries = []
-    for candidate_id, _ in result.ranked:
-        record = candidates.get(candidate_id)
-        if record is None:
-            raise PageError(
-                f"no candidate record for ranked id {candidate_id!r} "
-                f"(student {result.student_id!r})"
-            )
-        entries.append(
-            PageEntry(
-                display_name=record.full_name.strip() or record.id,
-                profile_url=url_template.format(id=record.id),
-                industry=record.industry,
-                location=record.location_raw,
-            )
-        )
     return PageSpec(
         student_id=result.student_id,
         greeting_name=greeting_name,
-        entries=tuple(entries),
+        entries=tuple(_page_entry(result.student_id, candidate_id, candidates, url_template)
+                      for candidate_id, _ in result.ranked),
         survey_url=survey_url,
+    )
+
+
+def _page_entry(student_id: str, candidate_id: str, candidates: Mapping[str, CandidateRecord],
+                url_template: str) -> PageEntry:
+    record = candidates.get(candidate_id)
+    if record is None:
+        raise PageError(
+            f"no candidate record for ranked id {candidate_id!r} (student {student_id!r})"
+        )
+    return PageEntry(
+        display_name=record.full_name.strip() or record.id,
+        profile_url=url_template.format(id=record.id),
+        industry=record.industry,
+        location=record.location_raw,
     )
 
 
@@ -106,24 +106,31 @@ ol.rolemodels li { margin: 0.8rem 0; }
 
 def render_page(spec: PageSpec) -> str:
     """Render a page spec to a full HTML document string."""
-    greeting = html.escape(spec.greeting_name)
-    items = []
-    for entry in spec.entries:
-        meta = " · ".join(part for part in (entry.industry, entry.location) if part)
-        items.append(
-            "    <li><a href=\"{url}\">{name}</a>"
-            "<span class=\"meta\">{meta}</span></li>".format(
-                url=html.escape(entry.profile_url, quote=True),
-                name=html.escape(entry.display_name),
-                meta=html.escape(meta),
-            )
+    return _render_document(spec.greeting_name, [_render_entry(e) for e in spec.entries],
+                            spec.survey_url)
+
+
+def _render_entry(entry: PageEntry) -> str:
+    """One ``<li>`` of the role-model list."""
+    meta = " · ".join(part for part in (entry.industry, entry.location) if part)
+    return (
+        "    <li><a href=\"{url}\">{name}</a>"
+        "<span class=\"meta\">{meta}</span></li>".format(
+            url=html.escape(entry.profile_url, quote=True),
+            name=html.escape(entry.display_name),
+            meta=html.escape(meta),
         )
+    )
+
+
+def _render_document(greeting_name: str, items: list[str], survey_url: str | None) -> str:
+    greeting = html.escape(greeting_name)
     survey = ""
-    if spec.survey_url:
+    if survey_url:
         survey = (
             "  <p class=\"survey\"><a href=\"{url}\">"
             "Tell us what you think of your matches</a></p>\n".format(
-                url=html.escape(spec.survey_url, quote=True)
+                url=html.escape(survey_url, quote=True)
             )
         )
     return (
@@ -156,9 +163,15 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
     ``display_names`` maps each student id to the student's display name
     (empty when unknown).  Any other ``*.html`` already in ``out_dir`` is a
     page for a student no longer in the results and is removed.
+
+    Each page equals ``render_page(build_page_spec(...))``; a role model's
+    entry is rendered, and its profile URL checked, once per call.
     """
+    if survey_url:
+        _check_url(survey_url)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    items: dict[str, str] = {}
     written = []
     for result in results:
         display_name = display_names.get(result.student_id)
@@ -166,10 +179,18 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
             raise PageError(f"no student record for result {result.student_id!r}")
         if not _SAFE_FILENAME.match(result.student_id):
             raise PageError(f"student id {result.student_id!r} is not filename-safe")
-        spec = build_page_spec(result, display_name or result.student_id, candidates,
-                               survey_url, url_template)
+        if not result.ranked:
+            raise PageError(f"match result for {result.student_id!r} is empty")
+        for candidate_id, _ in result.ranked:
+            if candidate_id not in items:
+                entry = _page_entry(result.student_id, candidate_id, candidates, url_template)
+                _check_url(entry.profile_url)
+                items[candidate_id] = _render_entry(entry)
+        page = _render_document(display_name or result.student_id,
+                                [items[candidate_id] for candidate_id, _ in result.ranked],
+                                survey_url)
         path = directory / f"{result.student_id}.html"
-        path.write_text(render_page(spec), encoding="utf-8", newline="\n")
+        path.write_text(page, encoding="utf-8", newline="\n")
         written.append(path)
     keep = set(written)
     for stale in directory.glob("*.html"):

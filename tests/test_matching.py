@@ -1,5 +1,6 @@
 """Ranking, the candidate index fast path, and accuracy evaluation."""
 
+import functools
 import random
 
 import pytest
@@ -107,17 +108,22 @@ def test_candidate_index_rejects_duplicates_and_bad_threshold():
 
 def test_index_scores_agree_with_pairwise_scoring_exactly():
     # the vectorized index must be bit-identical to scoring pairs one at a
-    # time, not merely close
+    # time, not merely close; one call scores a block of students
     rng = random.Random(21)
     candidates = random_pool(rng, 120, "c")
     index = CandidateIndex(candidates, 0.8)
-    for _ in range(25):
-        student = random_profile(rng)
-        combined, no_signal, _ = index.score(student)
+    students = [random_profile(rng) for _ in range(25)]
+    combined, no_signal, components = index.score(students)
+    assert combined.shape == no_signal.shape == (25, 120)
+    for row, student in enumerate(students):
         for pos, (cid, profile) in enumerate(candidates):
             breakdown = combined_score(student, profile, 0.8)
-            assert combined[pos] == breakdown.combined, cid
-            assert bool(no_signal[pos]) == breakdown.no_signal, cid
+            assert combined[row, pos] == breakdown.combined, cid
+            assert bool(no_signal[row, pos]) == breakdown.no_signal, cid
+            for name, (sims, present) in components.items():
+                want = getattr(breakdown, name)
+                assert bool(present[row, pos]) == (want is not None), (cid, name)
+                assert sims[row, pos] == (want or 0.0), (cid, name)
 
 
 def test_candidate_index_length_is_the_candidate_count():
@@ -185,31 +191,155 @@ def test_match_corpus_on_shared_interest_sets_equals_the_full_sort_oracle_in_inp
 
 
 def test_match_corpus_computes_each_distinct_interest_set_once(monkeypatch):
-    components, scores = [], []
+    components, blocks = [], []
     component = CandidateIndex._interest_component
     score = CandidateIndex.score
     monkeypatch.setattr(CandidateIndex, "_interest_component",
                         lambda self, interests: components.append(interests)
                         or component(self, interests))
     monkeypatch.setattr(CandidateIndex, "score",
-                        lambda self, student: scores.append(student) or score(self, student))
+                        lambda self, students: blocks.append(list(students))
+                        or score(self, students))
     students, candidates = shared_set_population(29)
+    # five students per block: 54 students make 11 blocks, and some
+    # interest set is split across two of them
+    monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 5 * len(candidates) + 4)
     match_corpus(students, candidates, k=5)
 
-    assert len(scores) == len(students)
+    assert [len(block) for block in blocks] == [5] * 10 + [4]
+    assert any(before[-1].interests == after[0].interests
+               for before, after in zip(blocks, blocks[1:]))
     assert sorted(components, key=sorted) == sorted({s.interests for _, s in students}, key=sorted)
 
 
-def test_shared_interest_arrays_are_read_only():
+def test_shared_interest_arrays_are_read_only(monkeypatch):
+    kept = []
+    component = CandidateIndex._interest_component
+    monkeypatch.setattr(CandidateIndex, "_interest_component",
+                        lambda self, interests: kept.append(component(self, interests))
+                        or kept[-1])
     rng = random.Random(2)
     index = CandidateIndex(random_pool(rng, 30, "c"), 0.8)
     for interests in (frozenset({"chess", "robotic"}), frozenset()):
-        _, _, first = index.score(AttributeProfile(gender="female", interests=interests))
-        _, _, again = index.score(AttributeProfile(race="Asian", interests=interests))
-        assert again["interest"][0] is first["interest"][0]
-        for array in first["interest"]:
+        kept.clear()
+        _, _, first = index.score([AttributeProfile(gender="female", interests=interests)])
+        _, _, again = index.score([AttributeProfile(race="Asian", interests=interests)])
+        assert len(kept) == 1
+        assert (again["interest"][0] == first["interest"][0]).all()
+        for array in kept[0]:
             with pytest.raises(ValueError):
                 array[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# Blocks of students: rankings equal the oracle whatever the block size
+# ---------------------------------------------------------------------------
+
+
+def tie_population(seed):
+    """Many candidates with one profile under shuffled ids, so that equal
+    scores straddle the k-th place, plus a few random ones."""
+    rng = random.Random(seed)
+    ids = [f"c{i:03d}" for i in range(30)]
+    rng.shuffle(ids)
+    twin = AttributeProfile(gender="female", location="dallas, tx",
+                            interests=frozenset({"chess"}))
+    candidates = [(cid, twin if i < 20 else random_profile(rng)) for i, cid in enumerate(ids)]
+    students = [(f"s{i:02d}", random_profile(rng)) for i in range(8)]
+    students += [(f"t{i:02d}", AttributeProfile(gender="female")) for i in range(3)]
+    return students, candidates
+
+
+def few_candidates_population(seed):
+    rng = random.Random(seed)
+    return random_pool(rng, 9, "s"), random_pool(rng, 3, "c")
+
+
+def no_signal_population(seed):
+    """Students with no attribute at all, among ordinary ones: every
+    candidate is no-signal for them."""
+    rng = random.Random(seed)
+    students = [(f"s{i:02d}", random_profile(rng)) for i in range(4)]
+    students += [(f"n{i:02d}", AttributeProfile()) for i in range(5)]
+    rng.shuffle(students)
+    return students, random_pool(rng, 25, "c")
+
+
+def unlocated_students_population(seed):
+    """No student has a location, so no block does either."""
+    rng = random.Random(seed)
+    students = [
+        (sid, AttributeProfile(gender=p.gender, race=p.race, interests=p.interests))
+        for sid, p in random_pool(rng, 9, "s")
+    ]
+    return students, random_pool(rng, 25, "c")
+
+
+def unlocated_candidates_population(seed):
+    """Students with locations against candidates that have none."""
+    rng = random.Random(seed)
+    candidates = [
+        (cid, AttributeProfile(gender=p.gender, race=p.race, interests=p.interests))
+        for cid, p in random_pool(rng, 25, "c")
+    ]
+    students = [(f"s{i:02d}", AttributeProfile(location=rng.choice(CITIES[:3])))
+                for i in range(6)]
+    return students, candidates
+
+
+POPULATIONS = (
+    shared_set_population,
+    tie_population,
+    few_candidates_population,
+    no_signal_population,
+    unlocated_students_population,
+    unlocated_candidates_population,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_rankings(population, k):
+    """The full-sort oracle's top k for every student, in input order; the
+    same for every block size, so computed once per population and k."""
+    students, candidates = population(17)
+    return [tuple(oracles.full_sort_rank(sid, s, candidates, k, 0.8)) for sid, s in students]
+
+
+@pytest.mark.parametrize("population", POPULATIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("per_block", [1, 2, 3, "n > budget"])
+def test_block_rankings_equal_the_full_sort_oracle_in_input_order(
+        monkeypatch, population, per_block):
+    students, candidates = population(17)
+    n = len(candidates)
+    budget = n // 2 if per_block == "n > budget" else per_block * n
+    monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", budget)
+    for k in (1, 5, 200):
+        results = match_corpus(students, candidates, k=k)
+        assert [r.student_id for r in results] == [sid for sid, _ in students]
+        for (student_id, _), got, want in zip(students, results, oracle_rankings(population, k)):
+            assert got.ranked == want, (student_id, k)
+
+
+def test_block_populations_hold_the_cases_they_are_named_for():
+    def sort_key(breakdown):
+        return breakdown.no_signal, -breakdown.combined
+
+    students, candidates = tie_population(17)
+    full = [oracles.full_sort_rank(sid, s, candidates, len(candidates), 0.8)
+            for sid, s in students]
+    assert any(sort_key(ranked[4][1]) == sort_key(ranked[5][1]) for ranked in full)
+
+    students, candidates = no_signal_population(17)
+    assert any(all(combined_score(s, c, 0.8).no_signal for _, c in candidates)
+               for _, s in students)
+    assert any(not combined_score(s, c, 0.8).no_signal
+               for _, s in students for _, c in candidates)
+
+    students, _ = unlocated_students_population(17)
+    assert all(s.location is None for _, s in students)
+    students, candidates = unlocated_candidates_population(17)
+    assert all(s.location is not None for _, s in students)
+    assert all(c.location is None for _, c in candidates)
 
 
 def test_match_result_rejects_duplicate_candidates():

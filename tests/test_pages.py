@@ -134,3 +134,39 @@ def test_write_pages_rejects_ids_that_are_not_safe_filenames(tmp_path):
         write_pages([result_for(sid, ["c1"])], {sid: ""},
                     candidates_by_id(candidate("c1")), tmp_path)
     assert not (tmp_path.parent / "escape.html").exists()
+
+
+def test_write_pages_equals_render_page_of_build_page_spec(tmp_path):
+    # c2 is on every page, so its entry is rendered once and reused
+    mapping = candidates_by_id(
+        candidate("c1"),
+        candidate("c2", name='<i>Ada</i> & "Bo"', industry="R&D <lab>"),
+        candidate("c3", name="   "),
+        candidate("c4", industry="", location="Austin, TX"),
+    )
+    others = [["c1", "c3"], ["c4"], ["c3", "c4", "c1"], []]
+    results = [result_for(f"s{i:02d}", ["c2"] + others[i % 4] if i % 2 else others[i % 4] + ["c2"])
+               for i in range(20)]
+    names = {r.student_id: name for r, name in zip(results, ["Ana", "<b>Blake</b>", "", "Dee"] * 5)}
+    for survey_url in (None, "https://example.com/survey?a=1&b=2"):
+        out_dir = tmp_path / ("survey" if survey_url else "plain")
+        paths = write_pages(results, names, mapping, out_dir, survey_url=survey_url)
+        assert [p.name for p in paths] == [f"{r.student_id}.html" for r in results]
+        for result, path in zip(results, paths):
+            spec = build_page_spec(result, names[result.student_id] or result.student_id,
+                                   mapping, survey_url)
+            assert path.read_bytes() == render_page(spec).encode("utf-8"), path.name
+
+
+def test_write_pages_rejects_bad_urls_and_unknown_candidates(tmp_path):
+    mapping = candidates_by_id(candidate("c1"))
+    results = [result_for("s1", ["c1"]), result_for("s2", ["c1"])]
+    names = {"s1": "Ana", "s2": "Blake"}
+    with pytest.raises(PageError):
+        write_pages(results, names, mapping, tmp_path, url_template="javascript:alert({id})")
+    with pytest.raises(PageError):
+        write_pages(results, names, mapping, tmp_path, survey_url="ftp://example.com/survey")
+    with pytest.raises(PageError) as err:
+        write_pages(results + [result_for("s3", ["ghost"])], {**names, "s3": ""}, mapping,
+                    tmp_path)
+    assert "ghost" in str(err.value)
