@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .records import (
     AttributeProfile,
@@ -128,8 +128,10 @@ def build_profile(record: StudentRecord | CandidateRecord) -> AttributeProfile:
 # ---------------------------------------------------------------------------
 
 
-def profile_rows(pairs: Iterable[tuple[str, AttributeProfile]]) -> list[dict]:
-    return [{"id": subject_id, **profile.to_dict()} for subject_id, profile in pairs]
+def profile_rows(pairs: Iterable[tuple[str, AttributeProfile]]) -> Iterator[dict]:
+    """The profile-file rows, built one at a time as they are consumed."""
+    for subject_id, profile in pairs:
+        yield {"id": subject_id, **profile.to_dict()}
 
 
 def write_profiles(path: str | Path, pairs: Iterable[tuple[str, AttributeProfile]]) -> None:

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .records import DATA_DIR, StudentRecord, read_jsonl
 
@@ -228,9 +228,11 @@ def default_rules() -> list[LabelRule]:
     return load_rules(DATA_DIR / "rules.jsonl")
 
 
-def label_rows(partition: LabelPartition, records: Iterable[StudentRecord]) -> list[dict]:
-    """Serializable labels-file rows, one per record, in record order."""
-    rows = []
+def label_rows(partition: LabelPartition, records: Iterable[StudentRecord]) -> Iterator[dict]:
+    """Serializable labels-file rows, one per record, in record order.
+
+    Rows are built one at a time as they are consumed.
+    """
     for record in records:
         label = partition.labels[record.id]
         row: dict = {
@@ -241,8 +243,7 @@ def label_rows(partition: LabelPartition, records: Iterable[StudentRecord]) -> l
         if label.is_conflict:
             row["conflict_college"] = list(label.conflict_college)
             row["conflict_non_college"] = list(label.conflict_non_college)
-        rows.append(row)
-    return rows
+        yield row
 
 
 def effective_label(row: Mapping) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -392,7 +392,12 @@ class GroundTruthAnnotation:
                 raise MatchError(f"annotated {name} must be nonempty when present")
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "GroundTruthAnnotation":
+    def from_dict(cls, data: Mapping, shared: dict | None = None) -> "GroundTruthAnnotation":
+        """Build an annotation from a parsed JSON object.
+
+        ``shared`` is the sharing table of one load: an annotated gender,
+        race, city or state equal to one already in it is reused from it.
+        """
         subject_id = data.get("subject_id")
         if not isinstance(subject_id, str):
             raise MatchError("annotation row must carry a string subject_id")
@@ -404,14 +409,18 @@ class GroundTruthAnnotation:
         for name, value in fields.items():
             if value is not None and not isinstance(value, str):
                 raise MatchError(f"annotated {name} must be a string or null, got {value!r}")
+        if shared is not None:
+            for name in ("gender", "race", "city", "state"):
+                fields[name] = shared.setdefault(fields[name], fields[name])
         return cls(subject_id=subject_id, is_stem_role_model=flag, **fields)
 
 
 def load_annotations(path: str | Path) -> dict[str, GroundTruthAnnotation]:
     annotations: dict[str, GroundTruthAnnotation] = {}
+    shared: dict = {}
 
     def add(row: Mapping) -> None:
-        annotation = GroundTruthAnnotation.from_dict(row)
+        annotation = GroundTruthAnnotation.from_dict(row, shared)
         if annotation.subject_id in annotations:
             raise MatchError(f"duplicate annotation for {annotation.subject_id!r}")
         annotations[annotation.subject_id] = annotation
@@ -538,17 +547,16 @@ def evaluate(results: Sequence[MatchResult], annotations: Mapping[str, GroundTru
 # ---------------------------------------------------------------------------
 
 
-def match_rows(results: Iterable[MatchResult]) -> list[dict]:
-    return [
-        {
+def match_rows(results: Iterable[MatchResult]) -> Iterator[dict]:
+    """The matches-file rows, built one at a time as they are consumed."""
+    for result in results:
+        yield {
             "student_id": result.student_id,
             "ranked": [
                 {"candidate_id": candidate_id, **breakdown.to_dict()}
                 for candidate_id, breakdown in result.ranked
             ],
         }
-        for result in results
-    ]
 
 
 def write_matches(path: str | Path, results: Iterable[MatchResult]) -> None:

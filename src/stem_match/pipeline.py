@@ -263,12 +263,10 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
              majors: rolemodels.StemMajorList, rolemodels_out: str | Path) -> rolemodels.FilterResult:
     """Keep the STEM role models among ``candidates``, each with its reason."""
     result = rolemodels.filter_role_models(candidates, taxonomy, majors)
-    rows = []
-    for candidate in result.role_models:
-        row = candidate.to_dict()
-        row["reason"] = result.decisions[candidate.id].reason
-        rows.append(row)
-    write_jsonl(rolemodels_out, rows)
+    write_jsonl(rolemodels_out, (
+        {**candidate.to_dict(), "reason": result.decisions[candidate.id].reason}
+        for candidate in result.role_models
+    ))
     return result
 
 
@@ -278,9 +276,10 @@ def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]
     A repeated role-model id is fatal, like any other invalid row.
     """
     seen: set[str] = set()
+    shared: dict = {}
 
     def build(row: dict) -> tuple[CandidateRecord, str]:
-        record = CandidateRecord.from_dict(row)
+        record = CandidateRecord.from_dict(row, shared=shared)
         if record.id in seen:
             raise RecordError(f"duplicate role-model id {record.id!r}")
         seen.add(record.id)

@@ -8,12 +8,19 @@ live, so runs are reproducible offline.
 
 All record types are immutable once constructed and validate their own
 invariants, which keeps downstream stages free to share them across threads
-without copying.
+without copying.  Validated sub-records may be shared as well: within one
+load, records with equal predictor outputs hold the same ``PredictorOutput``
+objects (and the same tuple of them), and a candidate's industry, location,
+major, interest and skill strings are one object per distinct value.  The
+sharing table is a plain dict that lives for one load call, so two loads
+share nothing.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,22 +94,7 @@ class PredictorOutput:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PredictorOutput":
-        if not isinstance(data, Mapping):
-            raise RecordError("predictor output must be an object")
-        accuracy = data.get("accuracy")
-        if accuracy is not None:
-            if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
-                raise RecordError("accuracy must be a number or null")
-            accuracy = float(accuracy)
-        value = data.get("value")
-        if value is not None and not isinstance(value, str):
-            raise RecordError("prediction value must be a string or null")
-        return cls(
-            source=_require_str(data, "source"),
-            attribute=_require_str(data, "attribute"),
-            value=value,
-            accuracy=accuracy,
-        )
+        return cls(*_output_fields(data))
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,13 @@ class StudentRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping, max_tweets: int = MAX_TWEETS) -> "StudentRecord":
+    def from_dict(cls, data: Mapping, max_tweets: int = MAX_TWEETS,
+                  shared: dict | None = None) -> "StudentRecord":
+        """Build a student from a parsed JSON object.
+
+        ``shared`` is the sharing table of one load (see the module
+        docstring); equal predictor outputs found in it are reused.
+        """
         tweets = _str_list(data, "tweets")
         if len(tweets) > max_tweets:
             tweets = tweets[-max_tweets:]
@@ -147,7 +145,7 @@ class StudentRecord:
             bio=_optional_str(data, "bio"),
             display_name=_optional_str(data, "display_name"),
             location_raw=_optional_str(data, "location_raw"),
-            predictor_outputs=_outputs(data),
+            predictor_outputs=_outputs(data, {} if shared is None else shared),
         )
 
 
@@ -190,27 +188,35 @@ class CandidateRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping, industries: frozenset[str] | None = None) -> "CandidateRecord":
+    def from_dict(cls, data: Mapping, industries: frozenset[str] | None = None,
+                  shared: dict | None = None) -> "CandidateRecord":
         """Build a candidate from a parsed JSON object.
 
         ``industries`` is a set of normalized industry names; when given,
-        the unknown-industry flag is recomputed against it, otherwise any
-        flag already present in the data is kept.
+        the unknown-industry flag is recomputed against it, otherwise the
+        flag in the data is kept, and it must be a boolean when present.
+        ``shared`` is the sharing table of one load (see the module
+        docstring); equal predictor outputs and small-vocabulary strings
+        found in it are reused.
         """
-        industry = _optional_str(data, "industry")
+        if shared is None:
+            shared = {}
+        industry = _shared_str(data, "industry", shared)
         if industries is not None:
             unknown = _norm_key(industry) not in industries
         else:
-            unknown = bool(data.get("unknown_industry", False))
+            unknown = data.get("unknown_industry", False)
+            if not isinstance(unknown, bool):
+                raise RecordError(f"field 'unknown_industry' must be a boolean, got {unknown!r}")
         return cls(
             id=_require_str(data, "id"),
             full_name=_optional_str(data, "full_name"),
             industry=industry,
-            education_majors=tuple(_str_list(data, "education_majors")),
-            interests_raw=tuple(_str_list(data, "interests_raw")),
-            skills_raw=tuple(_str_list(data, "skills_raw")),
-            location_raw=_optional_str(data, "location_raw"),
-            predictor_outputs=_outputs(data),
+            education_majors=_shared_strs(data, "education_majors", shared),
+            interests_raw=_shared_strs(data, "interests_raw", shared),
+            skills_raw=_shared_strs(data, "skills_raw", shared),
+            location_raw=_shared_str(data, "location_raw", shared),
+            predictor_outputs=_outputs(data, shared),
             unknown_industry=unknown,
         )
 
@@ -294,11 +300,55 @@ def _str_list(data: Mapping, key: str) -> list[str]:
     return value
 
 
-def _outputs(data: Mapping) -> tuple[PredictorOutput, ...]:
+def _shared_str(data: Mapping, key: str, shared: dict) -> str:
+    value = _optional_str(data, key)
+    return shared.setdefault(value, value)
+
+
+def _shared_strs(data: Mapping, key: str, shared: dict) -> tuple[str, ...]:
+    return tuple([shared.setdefault(item, item) for item in _str_list(data, key)])
+
+
+def _output_fields(data: Mapping) -> tuple[str, str, str | None, float | None]:
+    """The type-checked fields of one raw predictor output, accuracy as a float."""
+    if not isinstance(data, Mapping):
+        raise RecordError("predictor output must be an object")
+    accuracy = data.get("accuracy")
+    if accuracy is not None:
+        if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
+            raise RecordError("accuracy must be a number or null")
+        accuracy = float(accuracy)
+    value = data.get("value")
+    if value is not None and not isinstance(value, str):
+        raise RecordError("prediction value must be a string or null")
+    return _require_str(data, "source"), _require_str(data, "attribute"), value, accuracy
+
+
+def _outputs(data: Mapping, shared: dict) -> tuple[PredictorOutput, ...]:
+    """A record's predictor outputs, each distinct one validated and built once.
+
+    Fields are type-checked before they are looked up, so a value that
+    only compares equal to a valid one (``true`` for ``1.0``) is still
+    rejected.  A zero accuracy keys on its sign too, so ``-0.0`` and
+    ``0.0`` keep the sign they were read with.  The tuple of outputs is
+    shared as well.
+    """
     raw = data.get("predictor_outputs", [])
     if not isinstance(raw, list):
         raise RecordError("field 'predictor_outputs' must be a list")
-    return tuple(PredictorOutput.from_dict(item) for item in raw)
+    keys = tuple([_output_key(item) for item in raw])
+    outputs = shared.get(keys)
+    if outputs is None:
+        for key in keys:
+            if key not in shared:
+                shared[key] = PredictorOutput(*key[:4])
+        outputs = shared[keys] = tuple([shared[key] for key in keys])
+    return outputs
+
+
+def _output_key(item) -> tuple:
+    key = _output_fields(item)
+    return key + (math.copysign(1.0, key[3]),) if key[3] == 0.0 else key
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +423,8 @@ def load_students(path: str | Path, max_tweets: int = MAX_TWEETS) -> LoadResult:
     occurrence.  Tweet lists longer than ``max_tweets`` are truncated to
     the most recent ``max_tweets`` entries.
     """
-    return _load_jsonl(path, lambda data: StudentRecord.from_dict(data, max_tweets))
+    shared: dict = {}
+    return _load_jsonl(path, lambda data: StudentRecord.from_dict(data, max_tweets, shared))
 
 
 def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -> LoadResult:
@@ -388,16 +439,31 @@ def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -
         vocabulary = default_industry_names()
     else:
         vocabulary = frozenset(_norm_key(name) for name in industries)
-    return _load_jsonl(path, lambda data: CandidateRecord.from_dict(data, vocabulary))
+    shared: dict = {}
+    return _load_jsonl(path, lambda data: CandidateRecord.from_dict(data, vocabulary, shared))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
-    """Write one JSON object per line, UTF-8, deterministic field order."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False))
-            handle.write("\n")
+    """Write one JSON object per line, UTF-8, deterministic field order.
+
+    ``rows`` is consumed one row at a time, so it may be a generator.  The
+    file appears whole or not at all: rows go to a temporary file in the
+    same directory, which replaces ``path`` only once every row is written
+    and is deleted when anything raises.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            for row in rows:
+                handle.write(json.dumps(row, ensure_ascii=False))
+                handle.write("\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None) -> list:

@@ -178,13 +178,17 @@ class FilterResult:
 
 def filter_role_models(candidates: Iterable[CandidateRecord], taxonomy: IndustryTaxonomy,
                        majors: StemMajorList) -> FilterResult:
-    """Keep the candidates that qualify, preserving input order."""
+    """Keep the candidates that qualify, preserving input order.
+
+    Candidates with the same outcome share one decision object.
+    """
     kept: list[CandidateRecord] = []
     decisions: dict[str, RoleModelDecision] = {}
+    outcomes: dict[RoleModelDecision, RoleModelDecision] = {}
     counts = {reason: 0 for reason in REASONS}
     for candidate in candidates:
         decision = is_role_model(candidate, taxonomy, majors)
-        decisions[candidate.id] = decision
+        decision = decisions[candidate.id] = outcomes.setdefault(decision, decision)
         counts[decision.reason] += 1
         if decision.is_role_model:
             kept.append(candidate)

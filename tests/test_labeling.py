@@ -103,7 +103,7 @@ def test_label_rows_only_carry_conflict_fields_when_conflicted():
         StudentRecord(id="d", bio="father, i'm going to college", tweets=("x",)),
     ]
     partition = label_corpus(records, RULES)
-    rows = label_rows(partition, records)
+    rows = list(label_rows(partition, records))
     assert "conflict_college" not in rows[0]
     assert rows[1]["conflict_college"] == ["going-to-college"]
     assert rows[1]["conflict_non_college"] == ["father"]

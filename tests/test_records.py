@@ -1,13 +1,15 @@
 """Record validation and JSONL ingestion."""
 
 import json
+import math
 import shutil
+import tracemalloc
 
 import pytest
 
 from stem_match.attributes import load_profiles
 from stem_match.labeling import default_rules, load_rules, read_labels
-from stem_match.matching import load_annotations, load_matches
+from stem_match.matching import MatchError, load_annotations, load_matches
 from stem_match.pipeline import load_rolemodels
 from stem_match.rolemodels import (default_majors, default_taxonomy, load_majors,
                                    load_taxonomy)
@@ -24,6 +26,7 @@ from stem_match.records import (
     read_jsonl,
     write_jsonl,
 )
+from stem_match.synthetic import SynthConfig, generate_synthetic
 
 
 def student_row(**overrides):
@@ -154,6 +157,21 @@ def test_candidate_round_trip():
     assert CandidateRecord.from_dict(record.to_dict()) == record
 
 
+def test_a_kept_unknown_industry_flag_must_be_a_json_boolean(tmp_path):
+    path = tmp_path / "rolemodels.jsonl"
+    flags = [candidate_row(id="t", unknown_industry=True),
+             candidate_row(id="f", unknown_industry=False), candidate_row(id="absent")]
+    write_jsonl(path, flags)
+    records, _ = load_rolemodels(path)
+    assert [r.unknown_industry for r in records] == [True, False, False]
+    for bad in ("false", 0, None):
+        write_jsonl(path, [candidate_row(), candidate_row(id="c2", unknown_industry=bad)])
+        with pytest.raises(RecordError) as err:
+            load_rolemodels(path)
+        assert str(err.value) == (
+            f"{path} line 2: field 'unknown_industry' must be a boolean, got {bad!r}")
+
+
 # ---------------------------------------------------------------------------
 # JSONL loading
 # ---------------------------------------------------------------------------
@@ -207,6 +225,32 @@ def test_write_then_read_jsonl_round_trips(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, rows)
     assert read_jsonl(path) == rows
+    write_jsonl(path, iter(rows[1:]))
+    assert read_jsonl(path) == rows[1:]
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [Interrupted, KeyboardInterrupt])
+def test_a_write_that_raises_midway_leaves_the_old_file_and_no_temp_file(tmp_path, error):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"id": "old"}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"id": "new"}
+        raise error("stopped between rows")
+
+    with pytest.raises(error):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+    with pytest.raises(error):
+        write_jsonl(tmp_path / "fresh.jsonl", rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
 def test_read_jsonl_raises_on_malformed_line(tmp_path):
@@ -312,3 +356,115 @@ def test_profile_serialization_sorts_interests():
     data = profile.to_dict()
     assert data["interests"] == ["alpha", "mid", "zeta"]
     assert AttributeProfile.from_dict(data) == profile
+
+
+# ---------------------------------------------------------------------------
+# Sharing within one load
+# ---------------------------------------------------------------------------
+
+
+def output_row(source="face", attribute="gender", value="female", accuracy=0.9):
+    return {"source": source, "attribute": attribute, "value": value, "accuracy": accuracy}
+
+
+def write_candidates(path, *outputs_per_row, **fields):
+    write_jsonl(path, [candidate_row(id=f"c{i}", predictor_outputs=list(outputs), **fields)
+                       for i, outputs in enumerate(outputs_per_row)])
+
+
+def test_equal_predictor_outputs_of_one_load_are_one_object(tmp_path):
+    gender, race = output_row(), output_row("name-demographics", "race", "Asian", 0.6)
+    path = tmp_path / "candidates.jsonl"
+    write_candidates(path, [gender, race], [dict(gender), dict(race)], [race], [])
+    first, second, third, fourth = load_candidates(path).records
+    assert first.predictor_outputs == (PredictorOutput("face", "gender", "female", 0.9),
+                                       PredictorOutput("name-demographics", "race", "Asian", 0.6))
+    assert first.predictor_outputs is second.predictor_outputs
+    assert third.predictor_outputs[0] is first.predictor_outputs[1]
+    assert fourth.predictor_outputs == ()
+    again = load_candidates(path).records[0]
+    assert again.predictor_outputs == first.predictor_outputs
+    assert again.predictor_outputs is not first.predictor_outputs
+    assert again.predictor_outputs[0] is not first.predictor_outputs[0]
+
+    students = tmp_path / "students.jsonl"
+    write_jsonl(students, [student_row(id=sid, predictor_outputs=[gender]) for sid in "ab"])
+    a, b = load_students(students).records
+    assert a.predictor_outputs is b.predictor_outputs
+
+
+def test_a_cached_output_does_not_admit_a_value_that_only_compares_equal(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    write_candidates(path, [output_row(accuracy=1.0)], [output_row(accuracy=True)],
+                     [output_row(accuracy=1)])
+    result = load_candidates(path)
+    assert [(e.line, e.message) for e in result.errors] == [
+        (2, "accuracy must be a number or null")]
+    first, third = result.records
+    assert type(third.predictor_outputs[0].accuracy) is float
+    assert third.predictor_outputs is first.predictor_outputs
+
+    with pytest.raises(RecordError) as err:
+        load_rolemodels(path)
+    assert str(err.value) == f"{path} line 2: accuracy must be a number or null"
+
+
+def test_a_zero_accuracy_keeps_its_sign(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    write_candidates(path, [output_row(accuracy=0.0)], [output_row(accuracy=-0.0)])
+    accuracies = [r.predictor_outputs[0].accuracy for r in load_candidates(path).records]
+    assert [math.copysign(1.0, a) for a in accuracies] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("field", ["source", "attribute", "value", "accuracy"])
+def test_an_unhashable_output_field_is_a_record_error(tmp_path, field):
+    path = tmp_path / "candidates.jsonl"
+    write_candidates(path, [output_row()], [output_row(**{field: ["face"]})])
+    result = load_candidates(path)
+    assert len(result.records) == 1
+    assert [e.line for e in result.errors] == [2]
+    with pytest.raises(RecordError):
+        PredictorOutput.from_dict(output_row(**{field: ["face"]}))
+
+
+def test_candidate_strings_of_one_load_are_shared(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    shared = {"industry": "Biotechnology", "location_raw": "Boston, MA",
+              "education_majors": ["Biology"], "interests_raw": ["genetics", "chess"],
+              "skills_raw": ["Python"]}
+    write_candidates(path, [], [], **shared)
+    first, second = load_candidates(path).records
+    for name in ("industry", "location_raw"):
+        assert getattr(first, name) is getattr(second, name)
+    for name in ("education_majors", "interests_raw", "skills_raw"):
+        assert getattr(first, name) == tuple(shared[name])
+        for a, b in zip(getattr(first, name), getattr(second, name)):
+            assert a is b
+
+
+def test_annotation_strings_of_one_load_are_shared(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    place = {"gender": "female", "race": "Black", "city": "Austin", "state": "TX"}
+    write_jsonl(path, [{"subject_id": sid, **place, "planted_candidate_id": None}
+                       for sid in ("s1", "s2")])
+    first, second = load_annotations(path).values()
+    for name in place:
+        assert getattr(first, name) == place[name]
+        assert getattr(first, name) is getattr(second, name)
+    write_jsonl(path, [{"subject_id": "s1", "city": ["Austin"]}])
+    with pytest.raises(MatchError):
+        load_annotations(path)
+
+
+def test_loading_candidates_holds_well_under_a_kilobyte_each(tmp_path):
+    # Each candidate held 1.2 kB under tracemalloc before loads shared equal
+    # values, and 0.3 kB after (2000 candidates, Python 3.11).
+    paths = generate_synthetic(SynthConfig(seed=3, n_students=10, n_candidates=2000), tmp_path)
+    tracemalloc.start()
+    try:
+        loaded = load_candidates(paths["candidates"])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2000 and not loaded.errors
+    assert held / len(loaded) < 700

@@ -118,6 +118,23 @@ def test_filter_preserves_order_and_counts_every_reason():
     assert result.decisions["c4"].reason == REASON_RELATED_WITHOUT_DEGREE
 
 
+def test_filter_shares_one_decision_per_outcome():
+    pool = [
+        candidate("Biotechnology", cid="c1"),
+        candidate("Computer Software", cid="c2"),
+        candidate("Financial Services", majors=["cs"], cid="c3"),
+        candidate("Hospital & Health Care", majors=["Computer Science"], cid="c4"),
+        candidate("Financial Services", majors=["Mathematics"], cid="c5"),
+    ]
+    result = filter_role_models(pool, TAXONOMY, default_majors())
+    assert list(result.decisions) == ["c1", "c2", "c3", "c4", "c5"]
+    assert result.decisions["c1"] is result.decisions["c2"]
+    assert result.decisions["c3"] is result.decisions["c4"]
+    assert result.decisions["c5"] == is_role_model(pool[4], TAXONOMY, default_majors())
+    assert result.decisions["c5"] != result.decisions["c3"]
+    assert [c.id for c in result.role_models] == ["c1", "c2", "c3", "c4", "c5"]
+
+
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
