@@ -91,29 +91,29 @@ class CandidateIndex:
     arithmetic-identical to calling ``similarity.combined_score`` pair by
     pair; the ranking oracle test in the suite holds it to that.
 
+    The pool is held in id order, so a candidate's column is its id rank,
+    the last sort key of a ranking; ``present`` (``4 × n``) flags which
+    candidates have a gender, race, location and interests.
+
     ``score`` takes a block of students and returns ``B × n`` arrays.  It
-    memoizes the interest component of the last interest set it scored, as
-    one ``(key, sims, present)`` entry that outlives the call: a student
-    whose set equals the previous student's reuses those arrays, so scoring
-    students grouped by interest set (as ``match_corpus`` does) computes
-    each set's component once, even for a set split across two blocks.
-    Arrays shared across calls are read-only.
+    memoizes the last interest set's similarities as one ``(key, sims)``
+    entry that outlives the call, so scoring students grouped by interest
+    set (as ``match_corpus`` does) computes each set's component once, even
+    for a set split across two blocks.  Arrays shared across calls are
+    read-only.
     """
 
     def __init__(self, candidates: Sequence[tuple[str, AttributeProfile]],
                  threshold: float = DEFAULT_FUZZY_THRESHOLD):
         if not 0.0 <= threshold <= 1.0:
             raise MatchError(f"fuzzy threshold {threshold} outside [0, 1]")
+        candidates = sorted(candidates, key=lambda item: item[0])
         ids = [cid for cid, _ in candidates]
         if len(ids) != len(set(ids)):
             raise MatchError("duplicate candidate ids")
         self.threshold = threshold
         self.ids = ids
-        # Candidate positions in id order: a candidate's place here is its
-        # integer id rank, the last sort key of a ranking.
-        self._by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=int)
         self.profiles = [profile for _, profile in candidates]
-        n = len(self.profiles)
 
         self._gender_codes, self._gender_vocab = _encode([p.gender for p in self.profiles])
         self._race_codes, self._race_vocab = _encode([p.race for p in self.profiles])
@@ -130,7 +130,7 @@ class CandidateIndex:
         # bitmask for a cheap no-overlap rejection.
         vocab: dict[str, int] = {}
         self._cand_interests: list[tuple[int, ...]] = []
-        self._cand_masks = [0] * n
+        self._cand_masks = [0] * len(self.profiles)
         for i, profile in enumerate(self.profiles):
             indices = []
             mask = 0
@@ -143,9 +143,14 @@ class CandidateIndex:
         self._vocab_words = list(vocab)
         self._cand_sizes = [len(t) for t in self._cand_interests]
         self._student_mask_cache: dict[str, int] = {}
-        self._interest_present = _read_only(np.array([size > 0 for size in self._cand_sizes],
-                                                     dtype=bool))
-        self._interest_memo: tuple = (None, None, None)
+        self._interest_memo: tuple = (None, None)
+
+        self.present = _read_only(np.stack([self._gender_codes >= 0, self._race_codes >= 0,
+                                            self._loc_codes >= 0, np.array(self._cand_sizes) > 0]))
+        # Row ``f`` counts, per candidate, the components present on both
+        # sides for a student whose presence flags have the bits of ``f``.
+        bits = (np.arange(16, dtype=np.uint8)[:, None] >> np.arange(4, dtype=np.uint8)) & 1
+        self._counts = bits @ self.present
 
     # perfbench/tracing.py counts pairs scored as len(index) on each traced
     # CandidateIndex.score call (COUNTERS["matching.CandidateIndex.score"]).
@@ -174,64 +179,58 @@ class CandidateIndex:
         return sims
 
     def score(self, students: Sequence[AttributeProfile]
-              ) -> tuple[np.ndarray, np.ndarray, dict]:
+              ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
         """Combined scores and no-signal flags for a block of students vs all candidates.
 
-        Returns (combined, no_signal, components) as ``B × n`` arrays, one
-        row per student; components holds the per-attribute similarity
-        arrays and their presence masks for assembling breakdowns.
+        Returns (combined, no_signal, sims, flags): ``B × n`` arrays, one row
+        per student and one column per candidate; the gender, race, location
+        and interest similarities as four such arrays, 0.0 where absent; and
+        the students' ``B × 4`` presence flags, the other side of ``present``.
         """
-        shape = (len(students), len(self.profiles))
-        components: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-        for name, values, codes, vocab in (
-            ("gender", [s.gender for s in students], self._gender_codes, self._gender_vocab),
-            ("race", [s.race for s in students], self._race_codes, self._race_vocab),
+        flags = np.array([(s.gender is not None, s.race is not None, s.location is not None,
+                           bool(s.interests)) for s in students], dtype=bool)
+        sims = []
+        for values, codes, vocab in (
+            ([s.gender for s in students], self._gender_codes, self._gender_vocab),
+            ([s.race for s in students], self._race_codes, self._race_vocab),
         ):
-            # -2 never equals an encoded value
+            # -2 never equals an encoded value or the -1 of an absent one
             wanted = np.array([-2 if v is None else vocab.get(v, -2) for v in values], dtype=int)
-            present = np.array([v is not None for v in values], dtype=bool)[:, None] & (codes >= 0)
-            components[name] = ((wanted[:, None] == codes).astype(float), present)
+            sims.append((wanted[:, None] == codes).astype(float))
 
-        # Row of each student's normalized location in a table of the
-        # block's distinct locations, -1 for a student without one.
+        # Rows are the block's distinct normalized locations, columns the
+        # candidate location codes, each plus a last one of zeros for -1.
         rows: dict[str, int] = {}
         located = np.array([
             -1 if s.location is None
             else rows.setdefault(normalize_location(s.location), len(rows))
             for s in students
         ], dtype=int)
-        present = (located >= 0)[:, None] & (self._loc_codes >= 0)
-        sims = np.zeros(shape)
-        if rows and self._loc_vocab:
-            table = np.stack([self._location_sims(location) for location in rows])
-            by_code = table[np.maximum(located, 0)[:, None], np.maximum(self._loc_codes, 0)]
-            sims = np.where(present, by_code, 0.0)
-        components["location"] = (sims, present)
+        table = np.zeros((len(rows) + 1, len(self._loc_vocab) + 1))
+        for row, location in enumerate(rows):
+            table[row, :-1] = self._location_sims(location)
+        sims.append(table[located[:, None], self._loc_codes])
 
         interest = []
         for student in students:
             if self._interest_memo[0] != student.interests:
                 self._interest_memo = (student.interests,
-                                       *self._interest_component(student.interests))
-            interest.append(self._interest_memo[1:])
-        components["interest"] = tuple(np.stack(arrays) for arrays in zip(*interest))
+                                       self._interest_component(student.interests))
+            interest.append(self._interest_memo[1])
+        sims.append(np.stack(interest))
 
-        total = np.zeros(shape)
-        count = np.zeros(shape, dtype=int)
-        for sims, present in components.values():
-            total += sims * present
-            count += present
+        total = sims[0] + sims[1] + sims[2] + sims[3]
+        count = self._counts[flags @ (1, 2, 4, 8)]
         no_signal = count == 0
-        combined = np.divide(total, count, out=np.zeros(shape), where=~no_signal)
-        return combined, no_signal, components
+        combined = np.divide(total, count, out=np.zeros(total.shape), where=~no_signal)
+        return combined, no_signal, sims, flags
 
-    def _interest_component(self, interests: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only interest similarities and presence flags for one interest set."""
+    def _interest_component(self, interests: frozenset[str]) -> np.ndarray:
+        """Read-only interest similarities for one interest set, 0.0 where absent."""
         n = len(self.profiles)
         sims = np.zeros(n)
         if not interests:
-            return _read_only(sims), _read_only(np.zeros(n, dtype=bool))
+            return _read_only(sims)
         left_masks = [self._interest_mask(s) for s in sorted(interests)]
         union = 0
         for mask in left_masks:
@@ -247,7 +246,7 @@ class CandidateIndex:
             if union & cand_masks[i]:
                 m = _matching_size(left_masks, cand_interests[i])
             sims[i] = m / (p + q - m)
-        return _read_only(sims), self._interest_present
+        return _read_only(sims)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -304,26 +303,25 @@ def _select_top(index: CandidateIndex, block: Sequence[tuple[str, AttributeProfi
     fold into one float, ``1.0`` for no-signal and ``-combined`` otherwise.
     Per student, every candidate whose key is below the k-th smallest key
     wins, and those tied with it win in id order until k have won.  Columns
-    are taken in id order, so a stable sort of the winners' keys orders
-    them by (key, id rank).  Breakdowns are built for the winners only.
+    are in id order, so a stable sort of the winners' keys orders them by
+    (key, id rank).  Breakdowns are built for the winners only.
     """
-    combined, no_signal, components = index.score([student for _, student in block])
-    key = np.where(no_signal, 1.0, -combined)[:, index._by_id]
+    combined, no_signal, sims, flags = index.score([student for _, student in block])
+    key = np.where(no_signal, 1.0, -combined)
     k = min(k, key.shape[1])
     kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
     below = key < kth
     tied = key == kth
     won = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
-    columns = np.nonzero(won)[1].reshape(len(block), k)
-    columns = np.take_along_axis(
-        columns, np.argsort(np.take_along_axis(key, columns, 1), axis=1, kind="stable"), 1)
-    top = index._by_id[columns]
+    top = np.nonzero(won)[1].reshape(len(block), k)
+    top = np.take_along_axis(
+        top, np.argsort(np.take_along_axis(key, top, 1), axis=1, kind="stable"), 1)
 
     def pick(array: np.ndarray) -> np.ndarray:
         return np.take_along_axis(array, top, 1)
 
-    parts = [np.where(pick(components[name][1]), pick(components[name][0]), None)
-             for name in ("gender", "race", "location", "interest")]
+    parts = [np.where(flags[:, c:c + 1] & index.present[c][top], pick(sims[c]), None)
+             for c in range(4)]
     # One row of breakdown fields per winner: four components (None where
     # absent), combined and no_signal, as Python floats and bools.
     breakdowns = np.stack(parts + [pick(combined), pick(no_signal)], axis=2).tolist()

@@ -273,7 +273,8 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
 def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]:
     """Role models as the identify stage wrote them, and the reason each was kept.
 
-    A repeated role-model id is fatal, like any other invalid row.
+    A repeated role-model id is fatal, like any other invalid row, and so
+    is a reason that is not a string; a row without one reads "unknown".
     """
     seen: set[str] = set()
     shared: dict = {}
@@ -283,7 +284,10 @@ def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]
         if record.id in seen:
             raise RecordError(f"duplicate role-model id {record.id!r}")
         seen.add(record.id)
-        return record, row.get("reason", "unknown")
+        reason = row.get("reason", "unknown")
+        if not isinstance(reason, str):
+            raise RecordError(f"field 'reason' must be a string, got {reason!r}")
+        return record, reason
 
     pairs = read_jsonl(path, build)
     return [record for record, _ in pairs], [reason for _, reason in pairs]

@@ -108,22 +108,46 @@ def test_candidate_index_rejects_duplicates_and_bad_threshold():
 
 def test_index_scores_agree_with_pairwise_scoring_exactly():
     # the vectorized index must be bit-identical to scoring pairs one at a
-    # time, not merely close; one call scores a block of students
+    # time, not merely close; one call scores a block of students, with
+    # one column per candidate in id order
     rng = random.Random(21)
     candidates = random_pool(rng, 120, "c")
+    rng.shuffle(candidates)
     index = CandidateIndex(candidates, 0.8)
+    assert index.ids == sorted(cid for cid, _ in candidates)
+    by_id = dict(candidates)
     students = [random_profile(rng) for _ in range(25)]
-    combined, no_signal, components = index.score(students)
+    combined, no_signal, sims, flags = index.score(students)
     assert combined.shape == no_signal.shape == (25, 120)
+    assert flags.shape == (25, 4) and index.present.shape == (4, 120)
     for row, student in enumerate(students):
-        for pos, (cid, profile) in enumerate(candidates):
-            breakdown = combined_score(student, profile, 0.8)
+        for pos, cid in enumerate(index.ids):
+            breakdown = combined_score(student, by_id[cid], 0.8)
             assert combined[row, pos] == breakdown.combined, cid
             assert bool(no_signal[row, pos]) == breakdown.no_signal, cid
-            for name, (sims, present) in components.items():
+            for c, name in enumerate(("gender", "race", "location", "interest")):
                 want = getattr(breakdown, name)
-                assert bool(present[row, pos]) == (want is not None), (cid, name)
-                assert sims[row, pos] == (want or 0.0), (cid, name)
+                assert bool(flags[row, c] & index.present[c, pos]) == (want is not None), (
+                    cid, name)
+                assert sims[c][row, pos] == (want or 0.0), (cid, name)
+
+
+def test_a_shuffled_pool_scores_the_same_as_the_pool_in_id_order():
+    rng = random.Random(8)
+    candidates = random_pool(rng, 50, "c")
+    shuffled = candidates[:]
+    rng.shuffle(shuffled)
+    assert shuffled != candidates
+    students = [random_profile(rng) for _ in range(12)]
+    index, again = CandidateIndex(candidates, 0.8), CandidateIndex(shuffled, 0.8)
+    assert index.ids == again.ids == sorted(index.ids)
+    first, second = index.score(students), again.score(students)
+    assert (index.present == again.present).all()
+    for want, got in zip(first[:2], second[:2]):
+        assert (want == got).all()
+    for want, got in zip(first[2], second[2]):
+        assert (want == got).all()
+    assert (first[3] == second[3]).all()
 
 
 def test_candidate_index_length_is_the_candidate_count():
@@ -222,13 +246,14 @@ def test_shared_interest_arrays_are_read_only(monkeypatch):
     index = CandidateIndex(random_pool(rng, 30, "c"), 0.8)
     for interests in (frozenset({"chess", "robotic"}), frozenset()):
         kept.clear()
-        _, _, first = index.score([AttributeProfile(gender="female", interests=interests)])
-        _, _, again = index.score([AttributeProfile(race="Asian", interests=interests)])
+        _, _, first, _ = index.score([AttributeProfile(gender="female", interests=interests)])
+        _, _, again, _ = index.score([AttributeProfile(race="Asian", interests=interests)])
         assert len(kept) == 1
-        assert (again["interest"][0] == first["interest"][0]).all()
-        for array in kept[0]:
-            with pytest.raises(ValueError):
-                array[0] = 1
+        assert (again[3][0] == first[3][0]).all()
+        with pytest.raises(ValueError):
+            kept[0][0] = 1
+    with pytest.raises(ValueError):
+        index.present[0, 0] = False
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,22 @@ def test_a_repeated_role_model_fails_a_resume_naming_file_line_and_id(tmp_path, 
         err.value)
 
 
+@pytest.mark.parametrize("bad", [["stem-industry"], 5])
+def test_a_role_model_reason_that_is_not_a_string_fails_a_resume_naming_file_and_line(
+        tmp_path, corpus, bad):
+    out = tmp_path / "out"
+    run_pipeline(make_config(corpus, out))
+    rolemodels = out / "rolemodels.jsonl"
+    rows = rolemodels.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[1] = json.dumps({**json.loads(rows[1]), "reason": bad}) + "\n"
+    rolemodels.write_text("".join(rows), encoding="utf-8")
+    (out / "report.json").unlink()
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(make_config(corpus, out), resume=True)
+    assert err.value.stage == "report"
+    assert f"{rolemodels} line 2: field 'reason' must be a string, got {bad!r}" in str(err.value)
+
+
 def test_rerun_with_a_smaller_cohort_removes_pages_of_departed_students(tmp_path, corpus):
     out = tmp_path / "out"
     run_pipeline(make_config(corpus, out))

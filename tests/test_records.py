@@ -172,6 +172,18 @@ def test_a_kept_unknown_industry_flag_must_be_a_json_boolean(tmp_path):
             f"{path} line 2: field 'unknown_industry' must be a boolean, got {bad!r}")
 
 
+def test_a_kept_reason_must_be_a_string(tmp_path):
+    path = tmp_path / "rolemodels.jsonl"
+    write_jsonl(path, [candidate_row(id="r", reason="stem-industry"), candidate_row(id="absent")])
+    assert load_rolemodels(path)[1] == ["stem-industry", "unknown"]
+    for bad in (["stem-industry"], 5):
+        write_jsonl(path, [candidate_row(reason="stem-industry"),
+                           candidate_row(id="c2", reason=bad)])
+        with pytest.raises(RecordError) as err:
+            load_rolemodels(path)
+        assert str(err.value) == f"{path} line 2: field 'reason' must be a string, got {bad!r}"
+
+
 # ---------------------------------------------------------------------------
 # JSONL loading
 # ---------------------------------------------------------------------------
