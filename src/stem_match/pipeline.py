@@ -61,7 +61,8 @@ _CONFIG_KEYS = {
     **dict.fromkeys(("annotations", "rules", "taxonomy", "majors"), _OPTIONAL_PATH),
     "survey_url": _OPTIONAL_STR,
     "profile_url_template": _STR,
-    **dict.fromkeys(("seed", "epochs"), (_is_int, "an integer")),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "epochs": (_is_int, "an integer"),
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "fuzzy_threshold": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,

@@ -129,16 +129,15 @@ class StudentRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping, max_tweets: int = MAX_TWEETS,
-                  shared: dict | None = None) -> "StudentRecord":
+    def from_dict(cls, data: Mapping, shared: dict | None = None) -> "StudentRecord":
         """Build a student from a parsed JSON object.
 
         ``shared`` is the sharing table of one load (see the module
         docstring); equal predictor outputs found in it are reused.
         """
         tweets = _str_list(data, "tweets")
-        if len(tweets) > max_tweets:
-            tweets = tweets[-max_tweets:]
+        if len(tweets) > MAX_TWEETS:
+            tweets = tweets[-MAX_TWEETS:]
         return cls(
             id=_require_str(data, "id"),
             tweets=tuple(tweets),
@@ -415,16 +414,16 @@ def _load_jsonl(path: str | Path, build) -> LoadResult:
     return LoadResult(records, errors)
 
 
-def load_students(path: str | Path, max_tweets: int = MAX_TWEETS) -> LoadResult:
+def load_students(path: str | Path) -> LoadResult:
     """Load students from a JSON Lines file.
 
     Returns every record that passes validation; rejected lines are listed
     in ``errors`` with their line numbers.  Duplicate ids keep the first
-    occurrence.  Tweet lists longer than ``max_tweets`` are truncated to
-    the most recent ``max_tweets`` entries.
+    occurrence.  Tweet lists longer than ``MAX_TWEETS`` are truncated to
+    the most recent ``MAX_TWEETS`` entries.
     """
     shared: dict = {}
-    return _load_jsonl(path, lambda data: StudentRecord.from_dict(data, max_tweets, shared))
+    return _load_jsonl(path, lambda data: StudentRecord.from_dict(data, shared))
 
 
 def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -> LoadResult:
