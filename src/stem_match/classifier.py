@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .labeling import COLLEGE, NON_COLLEGE
-from .records import StudentRecord
+from .records import StudentRecord, write_atomic
 
 # Unicode blocks counted as emoji: Miscellaneous Symbols and Pictographs,
 # Emoticons, Transport and Map Symbols, Supplemental Symbols and Pictographs.
@@ -113,6 +113,10 @@ class TrainConfig:
     epochs: int = 200
     lam: float = 0.01
     with_retweet: bool = False
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ClassifierError(f"epochs must be at least 1, got {self.epochs}")
 
     def active_features(self) -> tuple[str, ...]:
         if self.with_retweet:
@@ -290,8 +294,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     lines.append(f"epochs {model.epochs}")
     if model.cv_accuracy is not None:
         lines.append(f"cv_accuracy {model.cv_accuracy!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ["\n".join(lines) + "\n"])
 
 
 # Model-file scalar -> its type; a scalar not listed here is ignored.

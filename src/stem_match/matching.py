@@ -445,21 +445,6 @@ def _match_key(annotation: GroundTruthAnnotation, place_field: str
     return annotation.gender, annotation.race, normalize_location(place)
 
 
-def is_correct_match(student: GroundTruthAnnotation, candidate: GroundTruthAnnotation,
-                     level: str) -> bool:
-    """Correct iff the candidate is a STEM role model sharing gender, race,
-    and place (city or state per the level).
-
-    Any absent field on either side makes the match incorrect: students
-    that could not be annotated count as zero correct matches.
-    """
-    _check_level(level)
-    place_field = _place_field(level)
-    key = _match_key(student, place_field)
-    return (bool(candidate.is_stem_role_model) and key is not None
-            and key == _match_key(candidate, place_field))
-
-
 @dataclass(frozen=True)
 class AccuracyReport:
     """Per-n matching accuracy for one evaluation level.
@@ -493,10 +478,12 @@ def evaluate(results: Sequence[MatchResult], annotations: Mapping[str, GroundTru
              n_max: int = DEFAULT_K) -> AccuracyReport:
     """Score ranked results against ground truth at one evaluation level.
 
-    Every student must have an annotation row (absent fields are fine and
-    count as incorrect).  A ranked candidate without an annotation row is
-    simply not a correct match.  The top-10 levels restrict the cohort to
-    students whose annotated city is on the ``top10_cities`` list.
+    A ranked candidate is a correct match when it is annotated as a STEM
+    role model with the student's gender, race and normalized place (city,
+    or state at the state levels).  Every student must have an annotation
+    row; an absent field on either side, or a candidate without an
+    annotation row, is not a correct match.  The top-10 levels restrict the
+    cohort to students whose annotated city is on the ``top10_cities`` list.
     """
     _check_level(level)
     missing = sorted({r.student_id for r in results} - set(annotations))

@@ -1,16 +1,16 @@
 """Personalized static HTML pages listing each student's role models.
 
-One self-contained page per student: a greeting, one profile link per
-ranked candidate (display name, industry, location), and an optional
-survey link.  Rendering is deliberately free of timestamps or any other
-run-varying content so identical inputs produce identical bytes.
+One self-contained page per student, rendered and written by
+``write_pages``: a greeting, one profile link per ranked candidate
+(display name, industry, location), and an optional survey link.
+Rendering is deliberately free of timestamps or any other run-varying
+content so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import html
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
@@ -27,71 +27,10 @@ class PageError(ValueError):
     """Raised for unrenderable page inputs."""
 
 
-@dataclass(frozen=True)
-class PageEntry:
-    display_name: str
-    profile_url: str
-    industry: str
-    location: str
-
-
-@dataclass(frozen=True)
-class PageSpec:
-    """Everything that appears on one student's page."""
-
-    student_id: str
-    greeting_name: str
-    entries: tuple[PageEntry, ...]
-    survey_url: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise PageError(f"page for {self.student_id!r} has no entries")
-        for url in [e.profile_url for e in self.entries] + (
-            [self.survey_url] if self.survey_url else []
-        ):
-            _check_url(url)
-
-
 def _check_url(url: str) -> None:
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
         raise PageError(f"not a valid http(s) URL: {url!r}")
-
-
-def build_page_spec(result: MatchResult, greeting_name: str,
-                    candidates: Mapping[str, CandidateRecord],
-                    survey_url: str | None = None,
-                    url_template: str = PROFILE_URL_TEMPLATE) -> PageSpec:
-    """Assemble the page contents for one match result.
-
-    Profile URLs are derived from candidate ids through ``url_template``
-    (records carry no URL field of their own).
-    """
-    if not result.ranked:
-        raise PageError(f"match result for {result.student_id!r} is empty")
-    return PageSpec(
-        student_id=result.student_id,
-        greeting_name=greeting_name,
-        entries=tuple(_page_entry(result.student_id, candidate_id, candidates, url_template)
-                      for candidate_id, _ in result.ranked),
-        survey_url=survey_url,
-    )
-
-
-def _page_entry(student_id: str, candidate_id: str, candidates: Mapping[str, CandidateRecord],
-                url_template: str) -> PageEntry:
-    record = candidates.get(candidate_id)
-    if record is None:
-        raise PageError(
-            f"no candidate record for ranked id {candidate_id!r} (student {student_id!r})"
-        )
-    return PageEntry(
-        display_name=record.full_name.strip() or record.id,
-        profile_url=url_template.format(id=record.id),
-        industry=record.industry,
-        location=record.location_raw,
-    )
 
 
 _PAGE_STYLE = """\
@@ -104,20 +43,17 @@ ol.rolemodels li { margin: 0.8rem 0; }
 .survey { margin-top: 2rem; border-top: 1px solid #ccc; padding-top: 1rem; }"""
 
 
-def render_page(spec: PageSpec) -> str:
-    """Render a page spec to a full HTML document string."""
-    return _render_document(spec.greeting_name, [_render_entry(e) for e in spec.entries],
-                            spec.survey_url)
-
-
-def _render_entry(entry: PageEntry) -> str:
-    """One ``<li>`` of the role-model list."""
-    meta = " · ".join(part for part in (entry.industry, entry.location) if part)
+def _render_entry(record: CandidateRecord, url_template: str) -> str:
+    """One ``<li>`` of the role-model list: the record's display name (its
+    id when the name is blank), profile link, industry and location."""
+    url = url_template.format(id=record.id)
+    _check_url(url)
+    meta = " · ".join(part for part in (record.industry, record.location_raw) if part)
     return (
         "    <li><a href=\"{url}\">{name}</a>"
         "<span class=\"meta\">{meta}</span></li>".format(
-            url=html.escape(entry.profile_url, quote=True),
-            name=html.escape(entry.display_name),
+            url=html.escape(url, quote=True),
+            name=html.escape(record.full_name.strip() or record.id),
             meta=html.escape(meta),
         )
     )
@@ -164,8 +100,10 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
     (empty when unknown).  Any other ``*.html`` already in ``out_dir`` is a
     page for a student no longer in the results and is removed.
 
-    Each page equals ``render_page(build_page_spec(...))``; a role model's
-    entry is rendered, and its profile URL checked, once per call.
+    Profile URLs are derived from candidate ids through ``url_template``
+    (records carry no URL field of their own).  A role model's entry is
+    rendered, and its profile URL checked, once per call, so a page's bytes
+    do not depend on the other results of the call.
     """
     if survey_url:
         _check_url(survey_url)
@@ -183,9 +121,11 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
             raise PageError(f"match result for {result.student_id!r} is empty")
         for candidate_id, _ in result.ranked:
             if candidate_id not in items:
-                entry = _page_entry(result.student_id, candidate_id, candidates, url_template)
-                _check_url(entry.profile_url)
-                items[candidate_id] = _render_entry(entry)
+                record = candidates.get(candidate_id)
+                if record is None:
+                    raise PageError(f"no candidate record for ranked id {candidate_id!r} "
+                                    f"(student {result.student_id!r})")
+                items[candidate_id] = _render_entry(record, url_template)
         page = _render_document(display_name or result.student_id,
                                 [items[candidate_id] for candidate_id, _ in result.ranked],
                                 survey_url)

@@ -30,7 +30,8 @@ from . import pages as pages_mod
 from . import rolemodels
 from .matching import GroundTruthAnnotation, MatchResult
 from .records import (AttributeProfile, CandidateRecord, LoadResult, RecordError,
-                      StudentRecord, load_candidates, load_students, read_jsonl, write_jsonl)
+                      StudentRecord, load_candidates, load_students, read_jsonl, write_atomic,
+                      write_jsonl)
 
 STAGES = ("label", "classify", "identify", "attributes", "rank", "report", "pages")
 
@@ -62,7 +63,7 @@ _CONFIG_KEYS = {
     "survey_url": _OPTIONAL_STR,
     "profile_url_template": _STR,
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "epochs": (_is_int, "an integer"),
+    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "fuzzy_threshold": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
@@ -350,7 +351,7 @@ def report(results: Sequence[MatchResult], labels: Mapping[str, str],
             for level in matching.LEVELS
         }
     text = json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False)
-    Path(report_out).write_text(text + "\n", encoding="utf-8", newline="\n")
+    write_atomic(report_out, [text + "\n"])
     return summary
 
 

@@ -442,27 +442,32 @@ def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -
     return _load_jsonl(path, lambda data: CandidateRecord.from_dict(data, vocabulary, shared))
 
 
-def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
-    """Write one JSON object per line, UTF-8, deterministic field order.
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` as UTF-8 with ``\\n`` newlines.
 
-    ``rows`` is consumed one row at a time, so it may be a generator.  The
-    file appears whole or not at all: rows go to a temporary file in the
-    same directory, which replaces ``path`` only once every row is written
+    ``chunks`` is consumed one at a time, so it may be a generator.  The
+    file appears whole or not at all: chunks go to a temporary file in the
+    same directory, which replaces ``path`` only once every chunk is written
     and is deleted when anything raises.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    handle = open(temp, "x", encoding="utf-8")
+    handle = open(temp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
-            for row in rows:
-                handle.write(json.dumps(row, ensure_ascii=False))
-                handle.write("\n")
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
+    """Write one JSON object per line, UTF-8, deterministic field order,
+    through ``write_atomic``; ``rows`` may be a generator."""
+    write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None) -> list:

@@ -1,5 +1,6 @@
 """Tweet features and the max-margin college classifier."""
 
+import dataclasses
 import random
 
 import pytest
@@ -230,6 +231,12 @@ def test_train_separates_separable_data():
     assert all(infer(model, f) == label for f, label in zip(features, labels))
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_train_config_needs_at_least_one_epoch(epochs):
+    with pytest.raises(ClassifierError, match="epochs"):
+        TrainConfig(epochs=epochs)
+
+
 def test_train_needs_two_examples_per_class():
     with pytest.raises(ClassifierError):
         train([vector(emoji=9), vector(emoji=8), vector(emoji=1)],
@@ -311,6 +318,20 @@ def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
     with pytest.raises(ClassifierError) as err:
         load_model(path)
     assert str(err.value).startswith(f"{path} line 3: ")
+
+
+def test_a_model_that_fails_mid_write_leaves_the_previous_file_whole(tmp_path):
+    model = train(*separable_data())
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails part way
+    unwritable = dataclasses.replace(
+        model, active_features=("x\ud800",) + model.active_features[1:])
+    with pytest.raises(UnicodeEncodeError):
+        save_model(unwritable, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_model_file_is_plain_text(tmp_path):

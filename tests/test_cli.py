@@ -142,6 +142,19 @@ def test_bad_flag_value_is_a_clean_error(corpus, tmp_path, capsys):
     assert not (tmp_path / "m.jsonl").exists()
 
 
+def test_classify_with_zero_epochs_is_a_clean_error(corpus, tmp_path, capsys):
+    assert main(["label", "--students", str(corpus / "students.jsonl"),
+                 "--out", str(tmp_path / "labels.jsonl")]) == 0
+    code = main(["classify", "--train", str(tmp_path / "labels.jsonl"),
+                 "--students", str(corpus / "students.jsonl"),
+                 "--model-out", str(tmp_path / "model.txt"),
+                 "--out", str(tmp_path / "predicted.jsonl"), "--epochs", "0"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "predicted.jsonl").exists()
+
+
 @pytest.mark.parametrize("bad_file, bad_line", [
     pytest.param("annotations", "{broken", id="{broken"),
     pytest.param("annotations", "[1, 2]", id="[1, 2]"),

@@ -1,16 +1,12 @@
 """HTML result pages: structure, escaping, and file layout."""
 
+import html
+import re
+
 import pytest
 
 from stem_match.matching import MatchResult
-from stem_match.pages import (
-    PROFILE_URL_TEMPLATE,
-    PageError,
-    PageSpec,
-    build_page_spec,
-    render_page,
-    write_pages,
-)
+from stem_match.pages import PROFILE_URL_TEMPLATE, PageError, write_pages
 from stem_match.records import CandidateRecord
 from stem_match.similarity import SimilarityBreakdown
 
@@ -33,80 +29,89 @@ def candidates_by_id(*records):
     return {record.id: record for record in records}
 
 
-def test_build_page_spec_collects_entries_in_rank_order():
+def page_for(out_dir, result, greeting_name, mapping, **options):
+    """The text of the one page ``write_pages`` writes for ``result``."""
+    [path] = write_pages([result], {result.student_id: greeting_name}, mapping, out_dir,
+                         **options)
+    return path.read_text(encoding="utf-8")
+
+
+_ENTRY = re.compile(r'<li><a href="([^"]*)">([^<]*)</a>')
+
+
+def entries(page):
+    """(profile URL, display name) of each role-model entry, in page order."""
+    return [(html.unescape(url), html.unescape(name)) for url, name in _ENTRY.findall(page)]
+
+
+def test_write_pages_lists_entries_in_rank_order(tmp_path):
     mapping = candidates_by_id(candidate("c2"), candidate("c1"))
-    spec = build_page_spec(result_for("s1", ["c2", "c1"]), "Jordan Lee", mapping)
-    assert [entry.display_name for entry in spec.entries] == ["Candidate c2", "Candidate c1"]
-    assert spec.entries[0].profile_url == PROFILE_URL_TEMPLATE.format(id="c2")
-    assert spec.greeting_name == "Jordan Lee"
+    page = page_for(tmp_path, result_for("s1", ["c2", "c1"]), "Jordan Lee", mapping)
+    assert [name for _, name in entries(page)] == ["Candidate c2", "Candidate c1"]
+    assert entries(page)[0][0] == PROFILE_URL_TEMPLATE.format(id="c2")
+    assert "<h1>Hi Jordan Lee, " in page
 
 
-def test_build_page_spec_requires_every_ranked_candidate():
+def test_write_pages_requires_every_ranked_candidate(tmp_path):
     with pytest.raises(PageError) as err:
-        build_page_spec(result_for("s1", ["ghost"]), "Jordan Lee", {})
+        page_for(tmp_path, result_for("s1", ["ghost"]), "Jordan Lee", {})
     assert "ghost" in str(err.value)
 
 
-def test_build_page_spec_rejects_empty_results():
+def test_write_pages_rejects_empty_results(tmp_path):
     with pytest.raises(PageError):
-        build_page_spec(MatchResult("s1", ()), "Jordan Lee", {})
+        page_for(tmp_path, MatchResult("s1", ()), "Jordan Lee", {})
 
 
-def test_blank_candidate_name_falls_back_to_id():
+def test_blank_candidate_name_falls_back_to_id(tmp_path):
     mapping = candidates_by_id(candidate("c1", name="  "))
-    spec = build_page_spec(result_for("s1", ["c1"]), "Jordan Lee", mapping)
-    assert spec.entries[0].display_name == "c1"
+    page = page_for(tmp_path, result_for("s1", ["c1"]), "Jordan Lee", mapping)
+    assert entries(page)[0][1] == "c1"
 
 
-def test_page_spec_validates_urls():
+def test_page_spec_validates_urls(tmp_path):
     with pytest.raises(PageError):
-        build_page_spec(
-            result_for("s1", ["c1"]),
-            "Jordan Lee",
-            candidates_by_id(candidate("c1")),
-            url_template="javascript:alert({id})",
-        )
+        page_for(tmp_path, result_for("s1", ["c1"]), "Jordan Lee",
+                 candidates_by_id(candidate("c1")), url_template="javascript:alert({id})")
     with pytest.raises(PageError):
-        PageSpec(student_id="s1", greeting_name="J", entries=(), survey_url=None)
+        page_for(tmp_path, MatchResult("s1", ()), "J", {})
+    assert not list(tmp_path.iterdir())
 
 
-def test_rendered_page_has_one_link_per_entry_plus_survey():
+def test_rendered_page_has_one_link_per_entry_plus_survey(tmp_path):
     mapping = candidates_by_id(candidate("c1"), candidate("c2"), candidate("c3"))
-    html_text = render_page(build_page_spec(
-        result_for("s1", ["c1", "c2", "c3"]),
-        "Jordan Lee",
-        mapping,
-        survey_url="https://example.com/survey",
-    ))
+    html_text = page_for(tmp_path, result_for("s1", ["c1", "c2", "c3"]), "Jordan Lee", mapping,
+                         survey_url="https://example.com/survey")
     assert html_text.count("<li>") == 3
     assert html_text.count("<a href=") == 4  # three profiles + the survey
     assert "https://example.com/survey" in html_text
     assert html_text.startswith("<!DOCTYPE html>")
 
 
-def test_rendered_page_without_survey_has_no_survey_link():
+def test_rendered_page_without_survey_has_no_survey_link(tmp_path):
     mapping = candidates_by_id(candidate("c1"))
-    html_text = render_page(build_page_spec(result_for("s1", ["c1"]), "Jordan Lee", mapping))
+    html_text = page_for(tmp_path, result_for("s1", ["c1"]), "Jordan Lee", mapping)
     assert html_text.count("<a href=") == 1
     assert 'class="survey"' not in html_text
 
 
-def test_everything_user_controlled_is_escaped():
+def test_everything_user_controlled_is_escaped(tmp_path):
     mapping = candidates_by_id(
         candidate("c1", name='<script>alert("x")</script>', industry='A & B "quoted"')
     )
-    html_text = render_page(build_page_spec(result_for("s1", ["c1"]), "Sam <b>Bold</b>", mapping))
+    html_text = page_for(tmp_path, result_for("s1", ["c1"]), "Sam <b>Bold</b>", mapping)
     assert "<script>" not in html_text
     assert "&lt;script&gt;" in html_text
     assert "<b>Bold</b>" not in html_text
     assert "A &amp; B" in html_text
 
 
-def test_render_is_deterministic():
+def test_render_is_deterministic(tmp_path):
     mapping = candidates_by_id(candidate("c1"), candidate("c2"))
-    spec = build_page_spec(result_for("s1", ["c1", "c2"]), "Jordan Lee", mapping,
-                           survey_url="https://example.com/s")
-    assert render_page(spec) == render_page(spec)
+    result = result_for("s1", ["c1", "c2"])
+    pages = [page_for(tmp_path / name, result, "Jordan Lee", mapping,
+                      survey_url="https://example.com/s") for name in ("one", "two")]
+    assert pages[0] == pages[1]
 
 
 def test_write_pages_one_file_per_student(tmp_path):
@@ -136,7 +141,7 @@ def test_write_pages_rejects_ids_that_are_not_safe_filenames(tmp_path):
     assert not (tmp_path.parent / "escape.html").exists()
 
 
-def test_write_pages_equals_render_page_of_build_page_spec(tmp_path):
+def test_each_page_equals_the_page_of_a_call_for_that_student_alone(tmp_path):
     # c2 is on every page, so its entry is rendered once and reused
     mapping = candidates_by_id(
         candidate("c1"),
@@ -153,9 +158,13 @@ def test_write_pages_equals_render_page_of_build_page_spec(tmp_path):
         paths = write_pages(results, names, mapping, out_dir, survey_url=survey_url)
         assert [p.name for p in paths] == [f"{r.student_id}.html" for r in results]
         for result, path in zip(results, paths):
-            spec = build_page_spec(result, names[result.student_id] or result.student_id,
-                                   mapping, survey_url)
-            assert path.read_bytes() == render_page(spec).encode("utf-8"), path.name
+            alone = page_for(tmp_path / "alone", result, names[result.student_id], mapping,
+                             survey_url=survey_url)
+            assert path.read_bytes() == alone.encode("utf-8"), path.name
+            greeting = html.escape(names[result.student_id] or result.student_id)
+            assert f"<h1>Hi {greeting}, " in alone, path.name
+            assert [url for url, _ in entries(alone)] == [
+                PROFILE_URL_TEMPLATE.format(id=cid) for cid in result.candidate_ids()]
 
 
 def test_write_pages_rejects_bad_urls_and_unknown_candidates(tmp_path):

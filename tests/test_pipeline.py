@@ -243,6 +243,26 @@ def test_rerun_with_a_smaller_cohort_removes_pages_of_departed_students(tmp_path
     assert tree_bytes(out / "pages") == tree_bytes(tmp_path / "fresh" / "pages")
 
 
+def test_a_report_that_fails_mid_write_leaves_the_previous_report_whole(tmp_path):
+    model = pipeline.clf.ClassifierModel(weights=(0.0, 0.0, 0.0), bias=0.0,
+                                         active_features=pipeline.clf.BASE_FEATURES,
+                                         seed=0, epochs=1, lam=0.01)
+    path = tmp_path / "report.json"
+
+    def write(reasons):
+        pipeline.report([], {}, [], model, reasons, path, k=5, fuzzy_threshold=0.8,
+                        with_retweet=False, annotations=None, top10_cities=())
+
+    write(["industry"])
+    before = path.read_bytes()
+    # json.dumps(..., ensure_ascii=False) keeps a lone surrogate, which
+    # UTF-8 cannot encode, so the write fails after the file is opened
+    with pytest.raises(UnicodeEncodeError):
+        write(["\ud800"])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_errors_name_the_failing_stage(tmp_path, corpus):
     config = make_config(corpus, tmp_path / "out",
                          candidates=tmp_path / "no-such-file.jsonl")
@@ -287,7 +307,7 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     ("lam", "0.1"), ("fuzzy_threshold", False), ("with_retweet", "no"), ("with_retweet", 0),
     ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
     ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
-    ("fuzzy_threshold", 1.5), ("lam", 0), ("seed", -1),
+    ("fuzzy_threshold", 1.5), ("lam", 0), ("seed", -1), ("epochs", -3), ("epochs", 0),
 ])
 def test_config_rejects_values_of_the_wrong_type(key, value):
     data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}
