@@ -21,7 +21,7 @@ from . import labeling
 from . import matching
 from . import pipeline as pipeline_mod
 from . import synthetic
-from .records import LoadResult, load_candidates, load_students
+from .records import LoadResult, load_candidates, load_students, read_jsonl
 
 
 def _records(result: LoadResult, path: str) -> list:
@@ -61,6 +61,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 def _cmd_attributes(args: argparse.Namespace) -> int:
     if args.kind == "student":
         records = _records(load_students(args.in_path), args.in_path)
+        if args.predicted:
+            records = pipeline_mod.college_students(records, read_jsonl(args.predicted))
+    elif args.predicted:
+        raise ValueError("--predicted applies to --kind student only")
     else:
         records, _ = pipeline_mod.load_rolemodels(args.in_path)
     profiles = pipeline_mod.attributes(records, args.out)
@@ -149,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attributes", help="resolve demographic + interest profiles")
     p.add_argument("--in", dest="in_path", required=True, metavar="IN")
     p.add_argument("--kind", choices=("student", "candidate"), required=True)
+    p.add_argument("--predicted", default=None,
+                   help="predicted JSONL from the classify step: profile only the "
+                        "students it marks college, as a pipeline run does")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_attributes)
 

@@ -10,7 +10,9 @@ content so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import html
+import os
 import re
+import shutil
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
@@ -97,8 +99,11 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
     """Write ``<out_dir>/<student_id>.html`` for every result.
 
     ``display_names`` maps each student id to the student's display name
-    (empty when unknown).  Any other ``*.html`` already in ``out_dir`` is a
-    page for a student no longer in the results and is removed.
+    (empty when unknown).  ``out_dir`` is replaced whole: the pages are
+    written to a temporary directory beside it, which takes its place only
+    once every page is written and is deleted when anything raises.  So no
+    page of a student who is no longer in the results survives, and a call
+    that fails leaves the previous ``out_dir`` as it was.
 
     Profile URLs are derived from candidate ids through ``url_template``
     (records carry no URL field of their own).  A role model's entry is
@@ -108,32 +113,47 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
     if survey_url:
         _check_url(survey_url)
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    temp = directory.with_name(f".{directory.name}.{os.urandom(6).hex()}.tmp")
+    temp.mkdir()
     items: dict[str, str] = {}
-    written = []
-    for result in results:
-        display_name = display_names.get(result.student_id)
-        if display_name is None:
-            raise PageError(f"no student record for result {result.student_id!r}")
-        if not _SAFE_FILENAME.match(result.student_id):
-            raise PageError(f"student id {result.student_id!r} is not filename-safe")
-        if not result.ranked:
-            raise PageError(f"match result for {result.student_id!r} is empty")
-        for candidate_id, _ in result.ranked:
-            if candidate_id not in items:
-                record = candidates.get(candidate_id)
-                if record is None:
-                    raise PageError(f"no candidate record for ranked id {candidate_id!r} "
-                                    f"(student {result.student_id!r})")
-                items[candidate_id] = _render_entry(record, url_template)
-        page = _render_document(display_name or result.student_id,
-                                [items[candidate_id] for candidate_id, _ in result.ranked],
-                                survey_url)
-        path = directory / f"{result.student_id}.html"
-        path.write_text(page, encoding="utf-8", newline="\n")
-        written.append(path)
-    keep = set(written)
-    for stale in directory.glob("*.html"):
-        if stale not in keep:
-            stale.unlink()
-    return written
+    names = []
+    try:
+        for result in results:
+            display_name = display_names.get(result.student_id)
+            if display_name is None:
+                raise PageError(f"no student record for result {result.student_id!r}")
+            if not _SAFE_FILENAME.match(result.student_id):
+                raise PageError(f"student id {result.student_id!r} is not filename-safe")
+            if not result.ranked:
+                raise PageError(f"match result for {result.student_id!r} is empty")
+            for candidate_id, _ in result.ranked:
+                if candidate_id not in items:
+                    record = candidates.get(candidate_id)
+                    if record is None:
+                        raise PageError(f"no candidate record for ranked id {candidate_id!r} "
+                                        f"(student {result.student_id!r})")
+                    items[candidate_id] = _render_entry(record, url_template)
+            page = _render_document(display_name or result.student_id,
+                                    [items[candidate_id] for candidate_id, _ in result.ranked],
+                                    survey_url)
+            name = f"{result.student_id}.html"
+            (temp / name).write_text(page, encoding="utf-8", newline="\n")
+            names.append(name)
+        _replace_directory(temp, directory)
+    except BaseException:
+        shutil.rmtree(temp, ignore_errors=True)
+        raise
+    return [directory / name for name in names]
+
+
+def _replace_directory(new: Path, directory: Path) -> None:
+    """Rename ``new`` to ``directory``, deleting the directory that was there."""
+    old = new.with_suffix(".old")
+    try:
+        os.rename(directory, old)
+    except FileNotFoundError:
+        old = None
+    os.rename(new, directory)
+    if old is not None:
+        shutil.rmtree(old)

@@ -295,6 +295,16 @@ def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]
     return [record for record, _ in pairs], [reason for _, reason in pairs]
 
 
+def college_students(students: Iterable[StudentRecord], predicted_rows: Iterable[Mapping]
+                     ) -> list[StudentRecord]:
+    """The ``students`` whose row of the classify stage says ``college: true``."""
+    college = {
+        row["id"] for row in predicted_rows
+        if isinstance(row.get("id"), str) and row.get("college") is True
+    }
+    return [record for record in students if record.id in college]
+
+
 def attributes(records: Iterable[StudentRecord | CandidateRecord], profiles_out: str | Path
                ) -> list[tuple[str, AttributeProfile]]:
     """Write one resolved attribute profile per record; returns the (id, profile) pairs."""
@@ -423,12 +433,8 @@ def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: Ru
 
 
 def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
-    college = {
-        row["id"] for row in state["predicted"]
-        if isinstance(row.get("id"), str) and row.get("college") is True
-    }
     students = state.pop("students")
-    state["student_profiles"] = attributes([r for r in students if r.id in college],
+    state["student_profiles"] = attributes(college_students(students, state["predicted"]),
                                            paths["student_profiles"])
     state["rolemodel_profiles"] = attributes(state["rolemodels"], paths["rolemodel_profiles"])
     state["display_names"] = {r.id: r.display_name for r in students}

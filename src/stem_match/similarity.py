@@ -93,31 +93,40 @@ def max_matching_size(adjacency: Sequence[int], n_right: int) -> int:
     """
     match_right = [-1] * n_right
     size = 0
-
-    def augment(left: int, visited: int) -> tuple[bool, int]:
-        free = adjacency[left] & ~visited
-        while free:
-            bit = free & -free
-            visited |= bit
-            free ^= bit
-            pos = bit.bit_length() - 1
-            holder = match_right[pos]
-            if holder == -1:
-                match_right[pos] = left
-                return True, visited
-            ok, visited = augment(holder, visited)
-            if ok:
-                match_right[pos] = left
-                return True, visited
-            free &= ~visited
-        return False, visited
-
     for left in range(len(adjacency)):
-        if adjacency[left]:
-            ok, _ = augment(left, 0)
-            if ok:
-                size += 1
+        if adjacency[left] and _augment(adjacency, match_right, left, 0) < 0:
+            size += 1
     return size
+
+
+def _augment(adjacency: Sequence[int], match_right: list[int], left: int, visited: int) -> int:
+    """Look for an augmenting path from ``left``, trying right positions in
+    ascending bit order and skipping those in the ``visited`` mask.
+
+    On success it flips the path into ``match_right`` and returns -1;
+    otherwise it returns ``visited`` grown by every position it tried.  It is
+    a module-level function rather than a closure inside
+    ``max_matching_size``, because a recursive closure refers to itself
+    through its own cell: every call would leave a reference cycle that only
+    the cyclic garbage collector frees, and ranking calls this hundreds of
+    thousands of times a run.
+    """
+    free = adjacency[left] & ~visited
+    while free:
+        bit = free & -free
+        visited |= bit
+        free ^= bit
+        pos = bit.bit_length() - 1
+        holder = match_right[pos]
+        if holder == -1:
+            match_right[pos] = left
+            return -1
+        visited = _augment(adjacency, match_right, holder, visited)
+        if visited < 0:
+            match_right[pos] = left
+            return -1
+        free &= ~visited
+    return visited
 
 
 def fuzzy_overlap(interests1: Iterable[str], interests2: Iterable[str],

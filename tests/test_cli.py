@@ -52,8 +52,9 @@ def test_stagewise_commands_chain_together(corpus, tmp_path):
     kept = [json.loads(line) for line in read_lines(out / "rolemodels.jsonl")]
     assert kept and all(row["reason"] for row in kept)
 
-    assert main(["attributes", "--in", str(corpus / "students.jsonl"),
-                 "--kind", "student", "--out", str(out / "sprof.jsonl")]) == 0
+    assert main(["attributes", "--in", str(corpus / "students.jsonl"), "--kind", "student",
+                 "--predicted", str(out / "predicted.jsonl"),
+                 "--out", str(out / "sprof.jsonl")]) == 0
     assert main(["attributes", "--in", str(out / "rolemodels.jsonl"),
                  "--kind", "candidate", "--out", str(out / "cprof.jsonl")]) == 0
 
@@ -61,7 +62,11 @@ def test_stagewise_commands_chain_together(corpus, tmp_path):
                  "--rolemodels", str(out / "cprof.jsonl"),
                  "-k", "5", "--out", str(out / "matches.jsonl")]) == 0
     matches = [json.loads(line) for line in read_lines(out / "matches.jsonl")]
-    assert len(matches) == 30
+    # only the students classify marked college are ranked, as in a pipeline run
+    college = [row["id"] for row in map(json.loads, read_lines(out / "predicted.jsonl"))
+               if row["college"]]
+    assert 0 < len(college) < 30
+    assert [row["student_id"] for row in matches] == college
     assert all(len(row["ranked"]) <= 5 for row in matches)
 
     assert main(["evaluate", "--matches", str(out / "matches.jsonl"),
@@ -70,7 +75,7 @@ def test_stagewise_commands_chain_together(corpus, tmp_path):
                  "--out", str(out / "eval.json")]) == 0
     evaluation = json.loads((out / "eval.json").read_text(encoding="utf-8"))
     assert evaluation["level"] == "state-all"
-    assert evaluation["cohort_size"] == 30
+    assert evaluation["cohort_size"] == len(college)
 
 
 def test_pipeline_command_runs_from_a_config_file(corpus, tmp_path):
@@ -113,11 +118,26 @@ def test_stage_commands_write_the_same_bytes_as_a_pipeline_run(tmp_path):
                  "--out", str(out / "predicted.jsonl")]) == 0
     assert main(["identify", "--candidates", candidates,
                  "--out", str(out / "rolemodels.jsonl")]) == 0
+    assert main(["attributes", "--in", students, "--kind", "student",
+                 "--predicted", str(out / "predicted.jsonl"),
+                 "--out", str(out / "student_profiles.jsonl")]) == 0
     assert main(["attributes", "--in", str(out / "rolemodels.jsonl"), "--kind", "candidate",
                  "--out", str(out / "rolemodel_profiles.jsonl")]) == 0
+    assert main(["rank", "--students", str(out / "student_profiles.jsonl"),
+                 "--rolemodels", str(out / "rolemodel_profiles.jsonl"),
+                 "--out", str(out / "matches.jsonl")]) == 0
     for name in ("labels.jsonl", "model.txt", "predicted.jsonl", "rolemodels.jsonl",
-                 "rolemodel_profiles.jsonl"):
+                 "student_profiles.jsonl", "rolemodel_profiles.jsonl", "matches.jsonl"):
         assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+
+
+def test_predicted_with_candidate_profiles_is_a_clean_error(corpus, tmp_path, capsys):
+    code = main(["attributes", "--in", str(corpus / "candidates.jsonl"), "--kind", "candidate",
+                 "--predicted", str(tmp_path / "predicted.jsonl"),
+                 "--out", str(tmp_path / "cprof.jsonl")])
+    assert code == 1
+    assert "--predicted" in capsys.readouterr().err
+    assert not (tmp_path / "cprof.jsonl").exists()
 
 
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):

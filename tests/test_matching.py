@@ -1,6 +1,7 @@
 """Ranking, the candidate index fast path, and accuracy evaluation."""
 
 import functools
+import gc
 import random
 
 import pytest
@@ -211,6 +212,22 @@ def test_match_corpus_on_shared_interest_sets_equals_the_full_sort_oracle_in_inp
     assert kuhn_calls
     assert {s.interests for _, s in students} == set(SHARED_SETS)
     assert any(len({b.combined for _, b in r.ranked}) < len(r.ranked) for r in results)
+
+
+def test_match_corpus_leaves_nothing_for_the_cyclic_collector():
+    # the population has students with three or more interests, so some
+    # matchings run Kuhn's algorithm; a reference cycle per call would make
+    # the collector run thousands of times on a large pool
+    students, candidates = shared_set_population(13)
+    assert any(len(s.interests) >= 3 for _, s in students)
+    gc.collect()
+    gc.disable()
+    try:
+        results = match_corpus(students, candidates, k=5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(results) == len(students)
 
 
 def test_match_corpus_computes_each_distinct_interest_set_once(monkeypatch):

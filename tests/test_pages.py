@@ -179,3 +179,31 @@ def test_write_pages_rejects_bad_urls_and_unknown_candidates(tmp_path):
         write_pages(results + [result_for("s3", ["ghost"])], {**names, "s3": ""}, mapping,
                     tmp_path)
     assert "ghost" in str(err.value)
+
+
+def test_a_call_that_fails_leaves_the_previous_pages_whole(tmp_path):
+    mapping = candidates_by_id(candidate("c1"), candidate("c2"))
+    names = {"s1": "Ana", "s2": "Blake", "s3": "Cy"}
+    pages_dir = tmp_path / "pages"
+    write_pages([result_for("s1", ["c1"]), result_for("s2", ["c2"])], names, mapping, pages_dir)
+    before = {path.name: path.read_bytes() for path in pages_dir.iterdir()}
+
+    # the third result ranks a candidate with no record, after two pages of
+    # the new call are written
+    results = [result_for("s2", ["c1", "c2"]), result_for("s3", ["c2"]),
+               result_for("s1", ["ghost"])]
+    with pytest.raises(PageError, match="ghost"):
+        write_pages(results, names, mapping, pages_dir)
+    assert {path.name: path.read_bytes() for path in pages_dir.iterdir()} == before
+    assert [path.name for path in tmp_path.iterdir()] == ["pages"]
+
+
+def test_a_rewrite_replaces_the_pages_directory_and_leaves_no_temporary(tmp_path):
+    mapping = candidates_by_id(candidate("c1"))
+    names = {"s1": "Ana", "s2": "Blake"}
+    pages_dir = tmp_path / "pages"
+    write_pages([result_for("s1", ["c1"]), result_for("s2", ["c1"])], names, mapping, pages_dir)
+    [path] = write_pages([result_for("s2", ["c1"])], names, mapping, pages_dir)
+    assert path == pages_dir / "s2.html"
+    assert [p.name for p in pages_dir.iterdir()] == ["s2.html"]
+    assert [p.name for p in tmp_path.iterdir()] == ["pages"]
