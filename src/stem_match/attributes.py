@@ -144,15 +144,5 @@ def load_profiles(path: str | Path) -> list[tuple[str, AttributeProfile]]:
     Profile files are pipeline-internal artifacts, so unlike raw record
     ingestion this loader does not skip bad lines.
     """
-    seen: set[str] = set()
-
-    def build(row: dict) -> tuple[str, AttributeProfile]:
-        subject_id = row.get("id")
-        if not isinstance(subject_id, str) or not subject_id:
-            raise RecordError("profile row without a string id")
-        if subject_id in seen:
-            raise RecordError(f"duplicate profile id {subject_id!r}")
-        seen.add(subject_id)
-        return subject_id, AttributeProfile.from_dict(row)
-
-    return read_jsonl(path, build)
+    return read_jsonl(path, lambda row: (row.get("id"), AttributeProfile.from_dict(row)),
+                      key=lambda pair: pair[0])

@@ -302,8 +302,7 @@ _SCALARS = {"bias": float, "lambda": float, "seed": int, "epochs": int, "cv_accu
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    names: list[str] = []
-    weights: list[float] = []
+    features: dict[str, float] = {}
     scalars: dict[str, float | int | str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -312,9 +311,14 @@ def load_model(path: str | Path) -> ClassifierModel:
         parts = line.split()
         try:
             if parts[0] == "feature" and len(parts) == 3:
-                names.append(parts[1])
-                weights.append(float(parts[2]))
+                if parts[1] not in BASE_FEATURES + (RETWEET_FEATURE,):
+                    raise ClassifierError(f"unknown feature {parts[1]!r}")
+                if parts[1] in features:
+                    raise ClassifierError(f"duplicate feature {parts[1]!r}")
+                features[parts[1]] = float(parts[2])
             elif len(parts) == 2:
+                if parts[0] in scalars:
+                    raise ClassifierError(f"duplicate {parts[0]!r} line")
                 scalars[parts[0]] = _SCALARS.get(parts[0], str)(parts[1])
             else:
                 raise ClassifierError(f"unparseable model line: {line!r}")
@@ -322,9 +326,9 @@ def load_model(path: str | Path) -> ClassifierModel:
             raise ClassifierError(f"{path} line {line_no}: {exc}") from exc
     try:
         return ClassifierModel(
-            weights=tuple(weights),
+            weights=tuple(features.values()),
             bias=scalars["bias"],
-            active_features=tuple(names),
+            active_features=tuple(features),
             seed=scalars["seed"],
             epochs=scalars["epochs"],
             lam=scalars["lambda"],

@@ -21,7 +21,7 @@ from . import labeling
 from . import matching
 from . import pipeline as pipeline_mod
 from . import synthetic
-from .records import LoadResult, load_candidates, load_students, read_jsonl
+from .records import LoadResult, load_candidates, load_students
 
 
 def _records(result: LoadResult, path: str) -> list:
@@ -62,7 +62,8 @@ def _cmd_attributes(args: argparse.Namespace) -> int:
     if args.kind == "student":
         records = _records(load_students(args.in_path), args.in_path)
         if args.predicted:
-            records = pipeline_mod.college_students(records, read_jsonl(args.predicted))
+            predicted = pipeline_mod.load_predicted(args.predicted)
+            records = pipeline_mod.college_students(records, predicted)
     elif args.predicted:
         raise ValueError("--predicted applies to --kind student only")
     else:

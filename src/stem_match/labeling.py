@@ -261,10 +261,5 @@ def effective_label(row: Mapping) -> str:
 
 def read_labels(path: str | Path) -> dict[str, str]:
     """Map of student id → effective label from a labels file."""
-
-    def build(row: Mapping) -> tuple[str, str]:
-        if not isinstance(row.get("id"), str):
-            raise LabelError("row must have a string id")
-        return row["id"], effective_label(row)
-
-    return dict(read_jsonl(path, build))
+    return dict(read_jsonl(path, lambda row: (row.get("id"), effective_label(row)),
+                           key=lambda pair: pair[0]))

@@ -414,17 +414,10 @@ class GroundTruthAnnotation:
 
 
 def load_annotations(path: str | Path) -> dict[str, GroundTruthAnnotation]:
-    annotations: dict[str, GroundTruthAnnotation] = {}
     shared: dict = {}
-
-    def add(row: Mapping) -> None:
-        annotation = GroundTruthAnnotation.from_dict(row, shared)
-        if annotation.subject_id in annotations:
-            raise MatchError(f"duplicate annotation for {annotation.subject_id!r}")
-        annotations[annotation.subject_id] = annotation
-
-    read_jsonl(path, add)
-    return annotations
+    annotations = read_jsonl(path, lambda row: GroundTruthAnnotation.from_dict(row, shared),
+                             key=lambda annotation: annotation.subject_id)
+    return {annotation.subject_id: annotation for annotation in annotations}
 
 
 def _check_level(level: str) -> None:
@@ -562,4 +555,4 @@ def _match_result(row: Mapping) -> MatchResult:
 
 
 def load_matches(path: str | Path) -> list[MatchResult]:
-    return read_jsonl(path, _match_result)
+    return read_jsonl(path, _match_result, key=lambda result: result.student_id)

@@ -278,30 +278,29 @@ def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]
     A repeated role-model id is fatal, like any other invalid row, and so
     is a reason that is not a string; a row without one reads "unknown".
     """
-    seen: set[str] = set()
     shared: dict = {}
 
     def build(row: dict) -> tuple[CandidateRecord, str]:
         record = CandidateRecord.from_dict(row, shared=shared)
-        if record.id in seen:
-            raise RecordError(f"duplicate role-model id {record.id!r}")
-        seen.add(record.id)
         reason = row.get("reason", "unknown")
         if not isinstance(reason, str):
             raise RecordError(f"field 'reason' must be a string, got {reason!r}")
         return record, reason
 
-    pairs = read_jsonl(path, build)
+    pairs = read_jsonl(path, build, key=lambda pair: pair[0].id)
     return [record for record, _ in pairs], [reason for _, reason in pairs]
+
+
+def load_predicted(path: str | Path) -> list[dict]:
+    """The classify stage's rows; a row without a student id, or with a
+    repeated one, is fatal."""
+    return read_jsonl(path, key=lambda row: row.get("id"))
 
 
 def college_students(students: Iterable[StudentRecord], predicted_rows: Iterable[Mapping]
                      ) -> list[StudentRecord]:
     """The ``students`` whose row of the classify stage says ``college: true``."""
-    college = {
-        row["id"] for row in predicted_rows
-        if isinstance(row.get("id"), str) and row.get("college") is True
-    }
+    college = {row["id"] for row in predicted_rows if row.get("college") is True}
     return [record for record in students if record.id in college]
 
 
@@ -399,7 +398,7 @@ _LOADERS: dict[str, Callable[[RunState], object]] = {
     "display_names": lambda s: {r.id: r.display_name for r in s.pop("students")},
     "labels": lambda s: labeling.read_labels(s.paths["labels"]),
     "model": lambda s: clf.load_model(s.paths["model"]),
-    "predicted": lambda s: read_jsonl(s.paths["predicted"]),
+    "predicted": lambda s: load_predicted(s.paths["predicted"]),
     "rolemodels": lambda s: _load_rolemodels(s, "rolemodels"),
     "reasons": lambda s: _load_rolemodels(s, "reasons"),
     "student_profiles": lambda s: attr.load_profiles(s.paths["student_profiles"]),

@@ -470,22 +470,34 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None) -> list:
+def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None,
+               key: Callable[[object], object] | None = None) -> list:
     """One item per non-blank line of a JSON Lines file, in file order.
 
     The strict loader: each line is parsed into a JSON object and handed to
     ``build``, whose result is the line's item (the object itself when
-    ``build`` is None).  A ValueError from either step is raised again, as
-    the same type, with the prefix "<path> line <n>: ".
+    ``build`` is None).  ``key``, when given, returns an item's id: an id
+    that is not a nonempty string, or that an earlier item had, is a
+    RecordError.  A ValueError from any step is raised again, as the same
+    type, with the prefix "<path> line <n>: ".
     """
     items = []
+    ids = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 row = _parse_line(line)
-                items.append(row if build is None else build(row))
+                item = row if build is None else build(row)
+                if key is not None:
+                    item_id = key(item)
+                    if not isinstance(item_id, str) or not item_id:
+                        raise RecordError(f"id must be a nonempty string, got {item_id!r}")
+                    if item_id in ids:
+                        raise RecordError(f"duplicate id {item_id!r}")
+                    ids.add(item_id)
+                items.append(item)
             except ValueError as exc:
                 raise type(exc)(f"{path} line {line_no}: {exc}") from exc
     return items

@@ -320,6 +320,22 @@ def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
     assert str(err.value).startswith(f"{path} line 3: ")
 
 
+@pytest.mark.parametrize("extra_line, message", [
+    ("feature emoji_bin 0.5", "duplicate feature 'emoji_bin'"),
+    ("feature bogus_bin 0.5", "unknown feature 'bogus_bin'"),
+    ("seed 7", "duplicate 'seed' line"),
+])
+def test_load_model_rejects_a_repeated_or_unknown_line_naming_file_and_line(
+        tmp_path, extra_line, message):
+    path = tmp_path / "model.txt"
+    save_model(train(*separable_data()), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [extra_line]) + "\n", encoding="utf-8")
+    with pytest.raises(ClassifierError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path} line {len(lines) + 1}: {message}"
+
+
 def test_a_model_that_fails_mid_write_leaves_the_previous_file_whole(tmp_path):
     model = train(*separable_data())
     path = tmp_path / "model.txt"

@@ -21,7 +21,7 @@ from stem_match.matching import (
     match_corpus,
     write_matches,
 )
-from stem_match.records import AttributeProfile
+from stem_match.records import AttributeProfile, RecordError
 from stem_match.similarity import SimilarityBreakdown, combined_score
 
 GENDERS = ("female", "male", None)
@@ -435,8 +435,9 @@ def test_load_annotations_rejects_duplicates(tmp_path):
     path.write_text(
         '{"subject_id": "s1"}\n{"subject_id": "s1"}\n', encoding="utf-8"
     )
-    with pytest.raises(MatchError):
+    with pytest.raises(RecordError) as err:
         load_annotations(path)
+    assert f"{path} line 2: duplicate id 's1'" in str(err.value)
 
 
 def is_correct(student, candidate, level):

@@ -194,23 +194,38 @@ def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, lo
     assert tree_bytes(out) == tree_bytes(fresh)
 
 
-def test_a_repeated_role_model_fails_a_resume_naming_file_line_and_id(tmp_path, corpus):
-    out = tmp_path / "out"
+def assert_a_resume_rejects_a_repeated_first_row(corpus, out, name, stage, id_field):
+    """Run, append the first row of artifact ``name`` to it, delete what
+    ``stage`` and every later stage write, and resume: the resume must fail
+    in ``stage``, naming the file, the appended line and the row's id."""
     run_pipeline(make_config(corpus, out))
-    rolemodels = out / "rolemodels.jsonl"
-    rows = rolemodels.read_text(encoding="utf-8").splitlines(keepends=True)
-    rolemodels.write_text("".join(rows) + rows[0], encoding="utf-8")
-    for name in files_from("attributes"):
-        if (out / name).is_dir():
-            shutil.rmtree(out / name)
+    path = out / name
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(rows) + rows[0], encoding="utf-8")
+    for removed in files_from(stage):
+        if (out / removed).is_dir():
+            shutil.rmtree(out / removed)
         else:
-            (out / name).unlink()
+            (out / removed).unlink()
     with pytest.raises(PipelineError) as err:
         run_pipeline(make_config(corpus, out), resume=True)
-    assert err.value.stage == "attributes"
-    repeated = json.loads(rows[0])["id"]
-    assert f"{rolemodels} line {len(rows) + 1}: duplicate role-model id {repeated!r}" in str(
-        err.value)
+    assert err.value.stage == stage
+    repeated = json.loads(rows[0])[id_field]
+    assert f"{path} line {len(rows) + 1}: duplicate id {repeated!r}" in str(err.value)
+
+
+def test_a_repeated_role_model_fails_a_resume_naming_file_line_and_id(tmp_path, corpus):
+    assert_a_resume_rejects_a_repeated_first_row(
+        corpus, tmp_path / "out", "rolemodels.jsonl", "attributes", "id")
+
+
+@pytest.mark.parametrize("name, stage, id_field", [
+    ("predicted.jsonl", "attributes", "id"),
+    ("matches.jsonl", "report", "student_id"),
+])
+def test_a_repeated_row_of_an_artifact_fails_a_resume_naming_file_line_and_id(
+        tmp_path, corpus, name, stage, id_field):
+    assert_a_resume_rejects_a_repeated_first_row(corpus, tmp_path / "out", name, stage, id_field)
 
 
 @pytest.mark.parametrize("bad", [["stem-industry"], 5])

@@ -10,7 +10,7 @@ import pytest
 from stem_match.attributes import load_profiles
 from stem_match.labeling import default_rules, load_rules, read_labels
 from stem_match.matching import MatchError, load_annotations, load_matches
-from stem_match.pipeline import load_rolemodels
+from stem_match.pipeline import load_predicted, load_rolemodels
 from stem_match.rolemodels import (default_majors, default_taxonomy, load_majors,
                                    load_taxonomy)
 from stem_match.records import (
@@ -327,6 +327,52 @@ def test_every_strict_loader_names_the_file_and_line_of_a_bad_line(tmp_path, loa
     with pytest.raises(ValueError) as err:
         load(path)
     assert f"{path} line 3" in str(err.value)
+
+
+# Every strict loader of rows that carry an id, each with two rows that
+# differ in everything but the id "a".
+KEYED_LOADERS = {
+    "read_labels": (read_labels, '{"id": "a", "label": "college"}',
+                    '{"id": "a", "label": "non-college"}'),
+    "load_predicted": (load_predicted, '{"id": "a", "college": true}',
+                       '{"id": "a", "college": false}'),
+    "load_profiles": (load_profiles, '{"id": "a"}', '{"id": "a", "gender": "female"}'),
+    "load_annotations": (load_annotations, '{"subject_id": "a"}',
+                         '{"subject_id": "a", "city": "Austin"}'),
+    "load_matches": (load_matches, '{"student_id": "a", "ranked": []}',
+                     json.dumps({"student_id": "a", "ranked": [
+                         {"candidate_id": "c1", "combined": 0.5, "no_signal": False}]})),
+    "load_rolemodels": (load_rolemodels, json.dumps(candidate_row(id="a")),
+                        json.dumps(candidate_row(id="a", industry="Physics"))),
+}
+
+
+@pytest.mark.parametrize("loader", KEYED_LOADERS)
+def test_every_keyed_strict_loader_rejects_a_repeated_id_naming_file_and_line(tmp_path, loader):
+    load, first, second = KEYED_LOADERS[loader]
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f"{first}\n", encoding="utf-8")
+    load(path)
+    path.write_text(f"{first}\n{second}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert f"{path} line 2: duplicate id 'a'" in str(err.value)
+
+
+@pytest.mark.parametrize("loader", KEYED_LOADERS)
+def test_every_keyed_strict_loader_rejects_an_empty_id_naming_file_and_line(tmp_path, loader):
+    load, first, _ = KEYED_LOADERS[loader]
+    path = tmp_path / "rows.jsonl"
+    path.write_text(first.replace('"a"', '""') + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert f"{path} line 1: " in str(err.value)
+
+
+def test_read_jsonl_without_a_key_keeps_every_row(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "a"}\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"id": "a"}, {"id": "a"}]
 
 
 def test_bundled_data_loads_the_same_as_a_copy_given_as_an_override(tmp_path):
