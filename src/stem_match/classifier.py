@@ -297,13 +297,13 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     write_atomic(path, ["\n".join(lines) + "\n"])
 
 
-# Model-file scalar -> its type; a scalar not listed here is ignored.
+# Model-file scalar -> its type; a scalar line not listed here is an error.
 _SCALARS = {"bias": float, "lambda": float, "seed": int, "epochs": int, "cv_accuracy": float}
 
 
 def load_model(path: str | Path) -> ClassifierModel:
     features: dict[str, float] = {}
-    scalars: dict[str, float | int | str] = {}
+    scalars: dict[str, float | int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -316,10 +316,10 @@ def load_model(path: str | Path) -> ClassifierModel:
                 if parts[1] in features:
                     raise ClassifierError(f"duplicate feature {parts[1]!r}")
                 features[parts[1]] = float(parts[2])
-            elif len(parts) == 2:
+            elif len(parts) == 2 and parts[0] in _SCALARS:
                 if parts[0] in scalars:
                     raise ClassifierError(f"duplicate {parts[0]!r} line")
-                scalars[parts[0]] = _SCALARS.get(parts[0], str)(parts[1])
+                scalars[parts[0]] = _SCALARS[parts[0]](parts[1])
             else:
                 raise ClassifierError(f"unparseable model line: {line!r}")
         except ValueError as exc:

@@ -22,9 +22,11 @@ import json
 import math
 import os
 import re
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
 
 PREDICTOR_SOURCES = ("name-gender", "name-demographics", "face")
 GENDER_VALUES = ("female", "male")
@@ -316,7 +318,10 @@ def _output_fields(data: Mapping) -> tuple[str, str, str | None, float | None]:
     if accuracy is not None:
         if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
             raise RecordError("accuracy must be a number or null")
-        accuracy = float(accuracy)
+        try:
+            accuracy = float(accuracy)
+        except OverflowError:
+            raise RecordError("accuracy does not fit a float") from None
     value = data.get("value")
     if value is not None and not isinstance(value, str):
         raise RecordError("prediction value must be a string or null")
@@ -378,7 +383,7 @@ class LoadResult:
 
 
 def _parse_line(line: str) -> dict:
-    """The one parse step of both line loops: a JSON object or a RecordError."""
+    """The parse step of the row loop: a JSON object or a RecordError."""
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -388,30 +393,35 @@ def _parse_line(line: str) -> dict:
     return data
 
 
-def _load_jsonl(path: str | Path, build) -> LoadResult:
-    """Shared lenient loader: parse, build, deduplicate by id.
+def _read_rows(path: str | Path, build, key, errors: list[LoadError] | None = None) -> list:
+    """The row loop of every JSON Lines reader: ``read_jsonl`` without ``errors``.
 
-    A malformed or invalid line is reported with its line number and
-    skipped; the rest of the file still loads.  An unreadable file raises.
+    With ``errors``, a line that raises a ValueError is appended to it as a
+    ``LoadError`` (no path or line prefix) and skipped; the rest still loads.
     """
-    records: list = []
-    errors: list[LoadError] = []
-    seen: set[str] = set()
+    items = []
+    ids = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record = build(_parse_line(line))
-            except RecordError as exc:
+                row = _parse_line(line)
+                item = row if build is None else build(row)
+                if key is not None:
+                    item_id = key(item)
+                    if not isinstance(item_id, str) or not item_id:
+                        raise RecordError(f"id must be a nonempty string, got {item_id!r}")
+                    if item_id in ids:
+                        raise RecordError(f"duplicate id {item_id!r}")
+                    ids.add(item_id)
+            except ValueError as exc:
+                if errors is None:
+                    raise type(exc)(f"{path} line {line_no}: {exc}") from exc
                 errors.append(LoadError(line_no, str(exc)))
                 continue
-            if record.id in seen:
-                errors.append(LoadError(line_no, f"duplicate id {record.id!r}"))
-                continue
-            seen.add(record.id)
-            records.append(record)
-    return LoadResult(records, errors)
+            items.append(item)
+    return items
 
 
 def load_students(path: str | Path) -> LoadResult:
@@ -423,7 +433,9 @@ def load_students(path: str | Path) -> LoadResult:
     the most recent ``MAX_TWEETS`` entries.
     """
     shared: dict = {}
-    return _load_jsonl(path, lambda data: StudentRecord.from_dict(data, shared))
+    errors: list[LoadError] = []
+    build = partial(StudentRecord.from_dict, shared=shared)
+    return LoadResult(_read_rows(path, build, attrgetter("id"), errors), errors)
 
 
 def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -> LoadResult:
@@ -439,7 +451,9 @@ def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -
     else:
         vocabulary = frozenset(_norm_key(name) for name in industries)
     shared: dict = {}
-    return _load_jsonl(path, lambda data: CandidateRecord.from_dict(data, vocabulary, shared))
+    errors: list[LoadError] = []
+    build = partial(CandidateRecord.from_dict, industries=vocabulary, shared=shared)
+    return LoadResult(_read_rows(path, build, attrgetter("id"), errors), errors)
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -481,26 +495,7 @@ def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None,
     RecordError.  A ValueError from any step is raised again, as the same
     type, with the prefix "<path> line <n>: ".
     """
-    items = []
-    ids = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = _parse_line(line)
-                item = row if build is None else build(row)
-                if key is not None:
-                    item_id = key(item)
-                    if not isinstance(item_id, str) or not item_id:
-                        raise RecordError(f"id must be a nonempty string, got {item_id!r}")
-                    if item_id in ids:
-                        raise RecordError(f"duplicate id {item_id!r}")
-                    ids.add(item_id)
-                items.append(item)
-            except ValueError as exc:
-                raise type(exc)(f"{path} line {line_no}: {exc}") from exc
-    return items
+    return _read_rows(path, build, key)
 
 
 def default_industry_names() -> frozenset[str]:

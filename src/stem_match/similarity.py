@@ -209,7 +209,11 @@ class SimilarityBreakdown:
         no_signal = data.get("no_signal")
         if not isinstance(no_signal, bool):
             raise RecordError(f"'no_signal' must be true or false, got {no_signal!r}")
-        return cls(**components, combined=float(combined), no_signal=no_signal)
+        try:
+            combined = float(combined)
+        except OverflowError:
+            raise RecordError("similarity 'combined' does not fit a float") from None
+        return cls(**components, combined=combined, no_signal=no_signal)
 
 
 def _is_number(value) -> bool:

@@ -324,6 +324,7 @@ def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
     ("feature emoji_bin 0.5", "duplicate feature 'emoji_bin'"),
     ("feature bogus_bin 0.5", "unknown feature 'bogus_bin'"),
     ("seed 7", "duplicate 'seed' line"),
+    ("cv_acuracy 0.9", "unparseable model line: 'cv_acuracy 0.9'"),
 ])
 def test_load_model_rejects_a_repeated_or_unknown_line_naming_file_and_line(
         tmp_path, extra_line, message):

@@ -21,7 +21,7 @@ from stem_match.matching import (
     match_corpus,
     write_matches,
 )
-from stem_match.records import AttributeProfile, RecordError
+from stem_match.records import AttributeProfile, RecordError, write_jsonl
 from stem_match.similarity import SimilarityBreakdown, combined_score
 
 GENDERS = ("female", "male", None)
@@ -397,6 +397,16 @@ def test_match_file_round_trip(tmp_path):
     path = tmp_path / "matches.jsonl"
     write_matches(path, results)
     assert load_matches(path) == results
+
+
+def test_a_combined_score_too_large_for_a_float_is_a_bad_row_naming_file_and_line(tmp_path):
+    path = tmp_path / "matches.jsonl"
+    entry = {"candidate_id": "c1", "combined": 10 ** 400, "no_signal": False}
+    write_jsonl(path, [{"student_id": "s1", "ranked": []},
+                       {"student_id": "s2", "ranked": [entry]}])
+    with pytest.raises(RecordError) as err:
+        load_matches(path)
+    assert str(err.value) == f"{path} line 2: similarity 'combined' does not fit a float"
 
 
 # ---------------------------------------------------------------------------

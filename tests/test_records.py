@@ -4,9 +4,11 @@ import json
 import math
 import shutil
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
+from stem_match import records
 from stem_match.attributes import load_profiles
 from stem_match.labeling import default_rules, load_rules, read_labels
 from stem_match.matching import MatchError, load_annotations, load_matches
@@ -18,6 +20,7 @@ from stem_match.records import (
     MAX_TWEETS,
     AttributeProfile,
     CandidateRecord,
+    LoadError,
     PredictorOutput,
     RecordError,
     StudentRecord,
@@ -101,6 +104,16 @@ def test_predictor_output_accuracy_range():
         PredictorOutput("face", "gender", "male", 1.5)
     with pytest.raises(RecordError):
         PredictorOutput("face", "gender", "male", -0.1)
+
+
+def test_an_accuracy_too_large_for_a_float_is_a_record_error(tmp_path):
+    with pytest.raises(RecordError, match="^accuracy does not fit a float$"):
+        PredictorOutput.from_dict(output_row(accuracy=-10 ** 400))
+    path = tmp_path / "rolemodels.jsonl"
+    write_candidates(path, [output_row()], [output_row(accuracy=10 ** 400)])
+    with pytest.raises(RecordError) as err:
+        load_rolemodels(path)
+    assert str(err.value) == f"{path} line 2: accuracy does not fit a float"
 
 
 def test_predictor_output_round_trip():
@@ -230,6 +243,59 @@ def test_load_candidates_flags_unknown_industries(tmp_path):
     assert not result.errors
     flags = {r.id: r.unknown_industry for r in result.records}
     assert flags == {"c1": False, "c2": True}
+
+
+# The lenient loaders, each with its row maker and a builder that reads the
+# same rows through ``read_jsonl``.
+LENIENT_LOADERS = {
+    "load_students": (load_students, student_row, StudentRecord.from_dict),
+    "load_candidates": (load_candidates, candidate_row,
+                        lambda row: CandidateRecord.from_dict(row, frozenset())),
+}
+
+# Each makes, from a row maker, one line that every reader rejects.
+BAD_LINES = {
+    "malformed-json": lambda row: "{broken",
+    "not-an-object": lambda row: "[1, 2]",
+    "wrongly-typed-field": lambda row: json.dumps(row(id="c", location_raw=5)),
+    "empty-id": lambda row: json.dumps(row(id="")),
+    "repeated-id": lambda row: json.dumps(row(id="a", location_raw="Waco, TX")),
+    "5000-digit-integer": lambda row: json.dumps(row(id="c"))[:-1] + ', "n": ' + "9" * 5000 + "}",
+    "400-digit-accuracy": lambda row: json.dumps(
+        row(id="c", predictor_outputs=[output_row(accuracy=10 ** 400)])),
+}
+
+
+@pytest.mark.parametrize("bad_line", BAD_LINES)
+@pytest.mark.parametrize("loader", LENIENT_LOADERS)
+def test_a_lenient_loader_skips_a_bad_row_with_the_strict_readers_message(
+        tmp_path, loader, bad_line):
+    load, row, build = LENIENT_LOADERS[loader]
+    path = tmp_path / "rows.jsonl"
+    lines = [json.dumps(row(id="a")), "", BAD_LINES[bad_line](row), json.dumps(row(id="b"))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_jsonl(path, build, key=attrgetter("id"))
+    prefix = f"{path} line 3: "
+    assert str(err.value).startswith(prefix)
+    result = load(path)
+    assert [record.id for record in result.records] == ["a", "b"]
+    assert result.errors == [LoadError(3, str(err.value).removeprefix(prefix))]
+
+
+def test_the_lenient_loaders_do_not_read_through_read_jsonl(tmp_path, monkeypatch):
+    # A traced run adds the rows of every read_jsonl call to those of the
+    # lenient loaders, so a lenient load through it would count rows twice.
+    students, candidates = tmp_path / "students.jsonl", tmp_path / "candidates.jsonl"
+    write_jsonl(students, [student_row()])
+    write_jsonl(candidates, [candidate_row()])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_jsonl called")
+
+    monkeypatch.setattr(records, "read_jsonl", refuse)
+    assert [r.id for r in load_students(students)] == ["s1"]
+    assert [r.id for r in load_candidates(candidates, ["Biotechnology"])] == ["c1"]
 
 
 def test_write_then_read_jsonl_round_trips(tmp_path):
