@@ -86,10 +86,14 @@ class CandidateIndex:
     """Candidate profiles preprocessed for scoring many students.
 
     Builds the arrays and caches that make corpus-scale ranking cheap:
-    categorical codes, normalized locations, and interest-vocabulary
-    bitmasks for the fuzzy-overlap matching.  Scoring through the index is
-    arithmetic-identical to calling ``similarity.combined_score`` pair by
-    pair; the ranking oracle test in the suite holds it to that.
+    categorical codes, normalized locations, and bitmasks over the
+    candidates' interest vocabulary.  A candidate's mask holds its own words
+    and a student interest's mask the words it fuzzy-matches, so a pair's
+    interest matching is Kuhn's algorithm on the student masks ANDed with
+    the candidate's, with vocabulary bits as its right-hand side.  Scoring
+    through the index is arithmetic-identical to calling
+    ``similarity.combined_score`` pair by pair; the ranking oracle test in
+    the suite holds it to that.
 
     The pool is held in id order, so a candidate's column is its id rank,
     the last sort key of a ranking; ``present`` (``4 × n``) flags which
@@ -126,22 +130,14 @@ class CandidateIndex:
         self._loc_sim_cache: dict[str, np.ndarray] = {}
 
         # Interest vocabulary over candidate interest strings; each
-        # candidate keeps its interests as vocabulary indices plus a
-        # bitmask for a cheap no-overlap rejection.
+        # candidate keeps a bitmask of its words in it and their count.
         vocab: dict[str, int] = {}
-        self._cand_interests: list[tuple[int, ...]] = []
         self._cand_masks = [0] * len(self.profiles)
         for i, profile in enumerate(self.profiles):
-            indices = []
-            mask = 0
             for interest in sorted(profile.interests):
-                index = vocab.setdefault(interest, len(vocab))
-                indices.append(index)
-                mask |= 1 << index
-            self._cand_interests.append(tuple(indices))
-            self._cand_masks[i] = mask
+                self._cand_masks[i] |= 1 << vocab.setdefault(interest, len(vocab))
         self._vocab_words = list(vocab)
-        self._cand_sizes = [len(t) for t in self._cand_interests]
+        self._cand_sizes = [len(p.interests) for p in self.profiles]
         self._student_mask_cache: dict[str, int] = {}
         self._interest_memo: tuple = (None, None)
 
@@ -236,15 +232,15 @@ class CandidateIndex:
         for mask in left_masks:
             union |= mask
         p = len(left_masks)
-        cand_interests = self._cand_interests
         cand_masks = self._cand_masks
         for i in range(n):
             q = self._cand_sizes[i]
             if q == 0:
                 continue
             m = 0
-            if union & cand_masks[i]:
-                m = _matching_size(left_masks, cand_interests[i])
+            cand_mask = cand_masks[i]
+            if union & cand_mask:
+                m = max_matching_size([mask & cand_mask for mask in left_masks])
             sims[i] = m / (p + q - m)
         return _read_only(sims)
 
@@ -264,35 +260,6 @@ def _encode(values: Sequence[str | None]) -> tuple[np.ndarray, dict[str, int]]:
         else:
             codes[i] = vocab.setdefault(value, len(vocab))
     return codes, vocab
-
-
-def _matching_size(left_masks: Sequence[int], right_indices: Sequence[int]) -> int:
-    """Maximum matching between student interests and one candidate's.
-
-    ``left_masks`` are fuzzy-match bitmasks over the candidate vocabulary;
-    ``right_indices`` are this candidate's vocabulary indices.  The one-
-    and two-interest cases are closed-form; larger sets run Kuhn's
-    algorithm.
-    """
-    adj = []
-    for mask in left_masks:
-        a = 0
-        for pos, vj in enumerate(right_indices):
-            if (mask >> vj) & 1:
-                a |= 1 << pos
-        adj.append(a)
-    if len(adj) == 1:
-        return 1 if adj[0] else 0
-    if len(adj) == 2:
-        a0, a1 = adj
-        if not a0:
-            return 1 if a1 else 0
-        if not a1:
-            return 1
-        if a0 != a1 or a0 & (a0 - 1):
-            return 2
-        return 1
-    return max_matching_size(adj, len(right_indices))
 
 
 def _select_top(index: CandidateIndex, block: Sequence[tuple[str, AttributeProfile]],

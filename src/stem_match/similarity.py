@@ -84,14 +84,16 @@ def location_similarity(l1: str | None, l2: str | None) -> float | None:
     return lev_similarity(normalize_location(l1), normalize_location(l2))
 
 
-def max_matching_size(adjacency: Sequence[int], n_right: int) -> int:
+def max_matching_size(adjacency: Sequence[int]) -> int:
     """Size of a maximum bipartite matching.
 
-    ``adjacency[i]`` is a bitmask over right-side positions reachable from
-    left vertex ``i``.  Kuhn's augmenting-path algorithm; the input graphs
-    here are interest sets, so a handful of vertices per side.
+    ``adjacency[i]`` is a bitmask over the right-side vertices reachable from
+    left vertex ``i``: positions in the other interest list for
+    ``fuzzy_overlap``, bits of the candidate interest vocabulary for the
+    ranking index.  Kuhn's augmenting-path algorithm; ``match_right`` is keyed
+    by bit position, so it holds only the bits matched, however high.
     """
-    match_right = [-1] * n_right
+    match_right: dict[int, int] = {}
     size = 0
     for left in range(len(adjacency)):
         if adjacency[left] and _augment(adjacency, match_right, left, 0) < 0:
@@ -99,7 +101,8 @@ def max_matching_size(adjacency: Sequence[int], n_right: int) -> int:
     return size
 
 
-def _augment(adjacency: Sequence[int], match_right: list[int], left: int, visited: int) -> int:
+def _augment(adjacency: Sequence[int], match_right: dict[int, int], left: int,
+             visited: int) -> int:
     """Look for an augmenting path from ``left``, trying right positions in
     ascending bit order and skipping those in the ``visited`` mask.
 
@@ -117,8 +120,8 @@ def _augment(adjacency: Sequence[int], match_right: list[int], left: int, visite
         visited |= bit
         free ^= bit
         pos = bit.bit_length() - 1
-        holder = match_right[pos]
-        if holder == -1:
+        holder = match_right.get(pos)
+        if holder is None:
             match_right[pos] = left
             return -1
         visited = _augment(adjacency, match_right, holder, visited)
@@ -148,7 +151,7 @@ def fuzzy_overlap(interests1: Iterable[str], interests2: Iterable[str],
             if lev_similarity(a, b) >= threshold:
                 mask |= 1 << pos
         adjacency.append(mask)
-    return max_matching_size(adjacency, len(right))
+    return max_matching_size(adjacency)
 
 
 def interest_similarity(interests1: Iterable[str], interests2: Iterable[str],
@@ -201,23 +204,28 @@ class SimilarityBreakdown:
     def from_dict(cls, data: Mapping) -> "SimilarityBreakdown":
         components = {name: data.get(name) for name in ("gender", "race", "location", "interest")}
         for name, value in components.items():
-            if value is not None and not _is_number(value):
-                raise RecordError(f"similarity {name!r} must be a number or null, got {value!r}")
-        combined = data.get("combined")
-        if not _is_number(combined):
-            raise RecordError(f"similarity 'combined' must be a number, got {combined!r}")
+            if value is not None:
+                components[name] = _fraction(name, value, "a number or null")
+        combined = _fraction("combined", data.get("combined"), "a number")
         no_signal = data.get("no_signal")
         if not isinstance(no_signal, bool):
             raise RecordError(f"'no_signal' must be true or false, got {no_signal!r}")
-        try:
-            combined = float(combined)
-        except OverflowError:
-            raise RecordError("similarity 'combined' does not fit a float") from None
+        if no_signal != all(value is None for value in components.values()):
+            raise RecordError("'no_signal' must be true exactly when every component is null")
         return cls(**components, combined=combined, no_signal=no_signal)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _fraction(name: str, value, expected: str) -> float:
+    """``value`` as a float in [0, 1], or a ``RecordError`` naming the similarity."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise RecordError(f"similarity {name!r} must be {expected}, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise RecordError(f"similarity {name!r} does not fit a float") from None
+    if not 0.0 <= value <= 1.0:
+        raise RecordError(f"similarity {name!r} must lie in [0, 1], got {value!r}")
+    return value
 
 
 def combined_score(p_student: AttributeProfile, p_model: AttributeProfile,

@@ -3,6 +3,7 @@
 import functools
 import gc
 import random
+import string
 
 import pytest
 
@@ -22,7 +23,7 @@ from stem_match.matching import (
     write_matches,
 )
 from stem_match.records import AttributeProfile, RecordError, write_jsonl
-from stem_match.similarity import SimilarityBreakdown, combined_score
+from stem_match.similarity import SimilarityBreakdown, combined_score, lev_similarity
 
 GENDERS = ("female", "male", None)
 RACES = ("White", "Black", "Asian", "Api", "Hispanic", None)
@@ -161,8 +162,8 @@ def test_candidate_index_length_is_the_candidate_count():
 # ---------------------------------------------------------------------------
 
 # "robotics", "robotic", "robot" and "robots" fuzzy-match one another in
-# chains at 0.8, so a three-interest set drawn from them runs Kuhn's
-# algorithm rather than a closed form.
+# chains at 0.8, so the words of a three-interest set drawn from them
+# compete for the same candidate words in Kuhn's algorithm.
 FUZZY_TAGS = ("robotics", "robotic", "robot", "robots", "chess", "baking")
 SHARED_SETS = (
     frozenset(),
@@ -201,7 +202,7 @@ def test_match_corpus_on_shared_interest_sets_equals_the_full_sort_oracle_in_inp
     kuhn_calls = []
     kuhn = matching.max_matching_size
     monkeypatch.setattr(matching, "max_matching_size",
-                        lambda adj, n: kuhn_calls.append(n) or kuhn(adj, n))
+                        lambda adj: kuhn_calls.append(adj) or kuhn(adj))
     students, candidates = shared_set_population(13)
     results = match_corpus(students, candidates, k=5)
 
@@ -328,6 +329,39 @@ def unlocated_candidates_population(seed):
     return students, candidates
 
 
+# "robotic", "robot" and "robots" all fuzzy-match one another at 0.8.
+WIDE_SETS = ({"robotic"}, {"robot"}, {"robot", "robots"}, {"robots", "robotic"})
+
+
+def wide_vocabulary_population(seed):
+    """A pool over 240 random nine-letter words, then candidates holding
+    "robotic", "robot" or "robots" last in id order, so candidate masks
+    carry bits far above 64; students with one or two interests, some of
+    whom hit one candidate word with both of theirs, as "robot" and
+    "robots" both hit "robotic"."""
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < 240:
+        words.add("".join(rng.choices(string.ascii_lowercase, k=9)))
+    words = sorted(words)
+    rng.shuffle(words)
+    sets = [words[i:i + 4] for i in range(0, 240, 4)]
+    sets += [{"robotic"}, {"robotic", words[0]}, {"robot", "robots"}, {"robots", words[1]}]
+    candidates = [
+        (f"c{i:03d}", AttributeProfile(gender=rng.choice(GENDERS), race=rng.choice(RACES),
+                                       interests=frozenset(interests)))
+        for i, interests in enumerate(sets)
+    ]
+    students = [
+        (f"s{i:02d}", AttributeProfile(
+            gender=rng.choice(GENDERS), location=rng.choice(CITIES),
+            interests=frozenset(rng.choice(WIDE_SETS) if i % 2
+                                else rng.sample(words[:8] + ["robot"], 1 + i % 4 // 2))))
+        for i in range(16)
+    ]
+    return students, candidates
+
+
 POPULATIONS = (
     shared_set_population,
     tie_population,
@@ -335,6 +369,7 @@ POPULATIONS = (
     no_signal_population,
     unlocated_students_population,
     unlocated_candidates_population,
+    wide_vocabulary_population,
 )
 
 
@@ -382,6 +417,15 @@ def test_block_populations_hold_the_cases_they_are_named_for():
     assert all(s.location is not None for _, s in students)
     assert all(c.location is None for _, c in candidates)
 
+    students, candidates = wide_vocabulary_population(17)
+    assert len({word for _, c in candidates for word in c.interests}) >= 200
+    assert CandidateIndex(candidates, 0.8)._vocab_words.index("robotic") > 200
+    assert {len(s.interests) for _, s in students} == {1, 2}
+    hits = [[{word for word in c.interests if lev_similarity(interest, word) >= 0.8}
+             for interest in sorted(s.interests)] for _, s in students for _, c in candidates]
+    assert [{"robotic"}, {"robotic"}] in hits
+    assert [{"robot", "robots"}] in hits
+
 
 def test_match_result_rejects_duplicate_candidates():
     breakdown = SimilarityBreakdown(1.0, None, None, None, 1.0, False)
@@ -399,14 +443,34 @@ def test_match_file_round_trip(tmp_path):
     assert load_matches(path) == results
 
 
-def test_a_combined_score_too_large_for_a_float_is_a_bad_row_naming_file_and_line(tmp_path):
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"combined": 10 ** 400, "no_signal": False},
+                 "similarity 'combined' does not fit a float", id="huge-combined"),
+    pytest.param({"gender": 10 ** 400, "combined": 0.5, "no_signal": False},
+                 "similarity 'gender' does not fit a float", id="huge-gender"),
+    pytest.param({"race": -5, "combined": 0.5, "no_signal": False},
+                 "similarity 'race' must lie in [0, 1], got -5.0", id="negative-race"),
+    pytest.param({"interest": 1.5, "combined": 0.5, "no_signal": False},
+                 "similarity 'interest' must lie in [0, 1], got 1.5", id="interest-above-one"),
+    pytest.param({"location": 0.5, "combined": 1.5, "no_signal": False},
+                 "similarity 'combined' must lie in [0, 1], got 1.5", id="combined-above-one"),
+    pytest.param({"gender": 1.0, "combined": 1.0, "no_signal": True},
+                 "'no_signal' must be true exactly when every component is null",
+                 id="no-signal-beside-a-component"),
+    pytest.param({"combined": 0.0, "no_signal": False},
+                 "'no_signal' must be true exactly when every component is null",
+                 id="signal-without-a-component"),
+])
+def test_a_combined_score_too_large_for_a_float_is_a_bad_row_naming_file_and_line(
+        tmp_path, fields, message):
+    # also every other similarity outside [0, 1] or too large for a float,
+    # and a no_signal flag that disagrees with the components
     path = tmp_path / "matches.jsonl"
-    entry = {"candidate_id": "c1", "combined": 10 ** 400, "no_signal": False}
     write_jsonl(path, [{"student_id": "s1", "ranked": []},
-                       {"student_id": "s2", "ranked": [entry]}])
+                       {"student_id": "s2", "ranked": [{"candidate_id": "c1", **fields}]}])
     with pytest.raises(RecordError) as err:
         load_matches(path)
-    assert str(err.value) == f"{path} line 2: similarity 'combined' does not fit a float"
+    assert str(err.value) == f"{path} line 2: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -407,7 +407,7 @@ KEYED_LOADERS = {
                          '{"subject_id": "a", "city": "Austin"}'),
     "load_matches": (load_matches, '{"student_id": "a", "ranked": []}',
                      json.dumps({"student_id": "a", "ranked": [
-                         {"candidate_id": "c1", "combined": 0.5, "no_signal": False}]})),
+                         {"candidate_id": "c1", "gender": 0.5, "combined": 0.5, "no_signal": False}]})),
     "load_rolemodels": (load_rolemodels, json.dumps(candidate_row(id="a")),
                         json.dumps(candidate_row(id="a", industry="Physics"))),
 }
