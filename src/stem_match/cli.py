@@ -1,11 +1,12 @@
 """Command-line interface.
 
 One subcommand per pipeline stage plus ``evaluate``, ``pipeline`` (run
-everything from a config file) and ``synth`` (generate a synthetic
-population).  Each stage subcommand loads its inputs, warning about and
-skipping bad rows, then calls the pipeline's function for that stage, so
-it writes the same bytes as a pipeline run.  Stages read and write plain
-JSONL files so they can be chained, inspected, and rerun by hand.
+every stage from a config file, rebuilding every artifact) and ``synth``
+(generate a synthetic population).  Each stage subcommand loads its
+inputs, warning about and skipping bad rows, then calls the pipeline's
+function for that stage, so it writes the same bytes as a pipeline run.
+Stages read and write plain JSONL files so they can be chained, inspected,
+and rerun by hand; they are how part of a run is rebuilt.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import labeling
 from . import matching
 from . import pipeline as pipeline_mod
 from . import synthetic
-from .records import LoadResult, load_candidates, load_students
+from .records import LoadResult, load_candidates, load_students, write_atomic
 
 
 def _records(result: LoadResult, path: str) -> list:
@@ -88,9 +89,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     annotations = matching.load_annotations(args.annotations)
     report = matching.evaluate(results, annotations, args.level)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text + "\n", encoding="utf-8")
+    write_atomic(args.out, [text + "\n"])
     print(f"{args.level}: cohort {report.cohort_size}, "
           f"accuracy@1 {report.accuracy_at(1):.3f}")
     return 0
@@ -98,9 +97,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = pipeline_mod.PipelineConfig.load(args.config)
-    result = pipeline_mod.run_pipeline(config, resume=args.resume)
-    if result.skipped:
-        print(f"skipped (outputs exist): {', '.join(result.skipped)}")
+    result = pipeline_mod.run_pipeline(config)
     for name in ("labels", "predicted", "rolemodels", "matches", "report"):
         print(f"{name}: {result.paths[name]}")
     print(f"pages: {result.paths['pages']}")
@@ -177,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--resume", action="store_true",
-                   help="skip stages whose outputs already exist")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate a synthetic population")

@@ -5,12 +5,12 @@ paths that returns what it wrote; ``run_pipeline`` and the CLI subcommands
 both call it.  Loading inputs is the caller's: a pipeline run rejects bad
 rows, the CLI skips them.  Each stage writes its outputs under the
 configured output directory, so any stage can be rerun standalone and a
-rerun over unchanged inputs reproduces its outputs byte for byte.  Within
-one ``run_pipeline`` call the stages hand their parsed artifacts to each
-other through a ``RunState``: the students file is parsed once, and a run
-reads back none of the files it writes.  ``resume=True`` skips stages whose
-outputs already exist; an artifact of a skipped stage is loaded from its
-file.
+rerun over unchanged inputs reproduces its outputs byte for byte.
+``run_pipeline`` runs every stage and rebuilds every artifact from the
+inputs; within one run the stages hand their parsed artifacts to each
+other in memory, so the students file is parsed once and a run reads back
+none of the files it writes.  To rebuild only part of a run, call the
+stages, or the CLI's stage subcommands, on the files of an earlier run.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import attributes as attr
 from . import classifier as clf
@@ -166,29 +166,6 @@ class PipelineResult:
 
     paths: dict[str, Path]
     report: dict
-    skipped: list[str] = field(default_factory=list)
-
-
-class RunState(dict):
-    """The parsed artifacts that one run hands from stage to stage, by name.
-
-    A stage stores each artifact it writes as ``state[name]``.  A later stage
-    reads it back, or ``pop``s it when it is the last reader, so that it can
-    be freed.  An artifact that no stage of this run stored is loaded by
-    ``_LOADERS``.
-    """
-
-    def __init__(self, config: PipelineConfig, paths: Mapping[str, Path]):
-        super().__init__()
-        self.config = config
-        self.paths = paths
-
-    def __missing__(self, name: str):
-        value = self[name] = _LOADERS[name](self)
-        return value
-
-    def pop(self, name: str):
-        return super().pop(name) if name in self else _LOADERS[name](self)
 
 
 def label(students: Sequence[StudentRecord], rules_path: str | Path | None,
@@ -382,38 +359,15 @@ def _checked(loaded: LoadResult, kind: str, path: Path) -> list:
     return list(loaded.records)
 
 
-def _load_rolemodels(state: RunState, name: str) -> list:
-    """``name``, the role models or their reasons, from one read of the file
-    that holds both; the other one is stored for its own reader."""
-    both = dict(zip(("rolemodels", "reasons"), load_rolemodels(state.paths["rolemodels"])))
-    state.update((other, value) for other, value in both.items() if other != name)
-    return both[name]
-
-
-# Artifact name -> how a run loads it when no stage of the run stored it.
-# Layer functions are looked up through their modules at call time, so
-# wrappers that rebind module attributes see these calls.
-_LOADERS: dict[str, Callable[[RunState], object]] = {
-    "students": lambda s: _checked(load_students(s.config.students), "student", s.config.students),
-    "display_names": lambda s: {r.id: r.display_name for r in s.pop("students")},
-    "labels": lambda s: labeling.read_labels(s.paths["labels"]),
-    "model": lambda s: clf.load_model(s.paths["model"]),
-    "predicted": lambda s: load_predicted(s.paths["predicted"]),
-    "rolemodels": lambda s: _load_rolemodels(s, "rolemodels"),
-    "reasons": lambda s: _load_rolemodels(s, "reasons"),
-    "student_profiles": lambda s: attr.load_profiles(s.paths["student_profiles"]),
-    "rolemodel_profiles": lambda s: attr.load_profiles(s.paths["rolemodel_profiles"]),
-    "matches": lambda s: matching.load_matches(s.paths["matches"]),
-    "report": lambda s: json.loads(s.paths["report"].read_text(encoding="utf-8")),
-}
-
-
-def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
+    # Called through this module's global name, so that a wrapper rebinding
+    # it, such as a tracer or a load counter, sees the one load of a run.
+    state["students"] = _checked(load_students(config.students), "student", config.students)
     partition = label(state["students"], config.rules, paths["labels"])
     state["labels"] = {sid: weak.value for sid, weak in partition.labels.items()}
 
 
-def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     train_config = clf.TrainConfig(
         seed=config.seed, epochs=config.epochs, lam=config.lam, with_retweet=config.with_retweet
     )
@@ -422,7 +376,7 @@ def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: Ru
     state["model"], state["predicted"] = result.model, result.rows
 
 
-def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     taxonomy, majors = load_taxonomy_and_majors(config.taxonomy, config.majors)
     loaded = load_candidates(config.candidates, industries=taxonomy.groups)
     result = identify(_checked(loaded, "candidate", config.candidates), taxonomy, majors,
@@ -431,7 +385,7 @@ def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: Ru
     state["reasons"] = [result.decisions[c.id].reason for c in result.role_models]
 
 
-def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     students = state.pop("students")
     state["student_profiles"] = attributes(college_students(students, state["predicted"]),
                                            paths["student_profiles"])
@@ -439,12 +393,12 @@ def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: 
     state["display_names"] = {r.id: r.display_name for r in students}
 
 
-def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_rank(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     state["matches"] = rank(state.pop("student_profiles"), state.pop("rolemodel_profiles"),
                             config.k, config.fuzzy_threshold, paths["matches"])
 
 
-def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     annotations = None
     if config.annotations is not None:
         annotations = matching.load_annotations(config.annotations)
@@ -456,7 +410,7 @@ def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: RunS
     )
 
 
-def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: RunState) -> None:
+def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     pages(state.pop("matches"), state.pop("display_names"), state.pop("rolemodels"),
           paths["pages"], config.survey_url, config.profile_url_template)
 
@@ -471,30 +425,20 @@ _STAGE_FUNCS = {
     "pages": _stage_pages,
 }
 
-# Stage -> the artifacts it writes; ``resume`` skips a stage when they all exist.
-_OUTPUTS = {
-    "label": ("labels",),
-    "classify": ("model", "predicted"),
-    "identify": ("rolemodels",),
-    "attributes": ("student_profiles", "rolemodel_profiles"),
-    "rank": ("matches",),
-    "report": ("report",),
-    "pages": ("pages",),
-}
 
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Run all stages in order; raises PipelineError naming a failed stage.
 
-def run_pipeline(config: PipelineConfig, resume: bool = False) -> PipelineResult:
-    """Run all stages in order; raises PipelineError naming a failed stage."""
+    The stages hand their parsed artifacts to each other by name in one
+    dict; a stage ``pop``s an artifact when it is its last reader, so that
+    it can be freed.
+    """
     paths = config.artifact_paths()
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    state = RunState(config, paths)
-    skipped = []
+    state: dict = {}
     for stage in STAGES:
-        if resume and all(paths[name].exists() for name in _OUTPUTS[stage]):
-            skipped.append(stage)
-            continue
         try:
             _STAGE_FUNCS[stage](config, paths, state)
         except Exception as exc:
             raise PipelineError(stage, str(exc)) from exc
-    return PipelineResult(paths=paths, report=state.pop("report"), skipped=skipped)
+    return PipelineResult(paths=paths, report=state.pop("report"))

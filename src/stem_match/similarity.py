@@ -212,7 +212,18 @@ class SimilarityBreakdown:
             raise RecordError(f"'no_signal' must be true or false, got {no_signal!r}")
         if no_signal != all(value is None for value in components.values()):
             raise RecordError("'no_signal' must be true exactly when every component is null")
+        expected = _mean_of_present(components.values())
+        if combined != expected:
+            raise RecordError(f"similarity 'combined' must be {expected!r}, the mean of the "
+                              f"present components (0.0 with none), got {combined!r}")
         return cls(**components, combined=combined, no_signal=no_signal)
+
+
+def _mean_of_present(components: Iterable[float | None]) -> float:
+    """The combined score: the mean of the components that are not None, in
+    the order given, or 0.0 when none is."""
+    present = [c for c in components if c is not None]
+    return sum(present) / len(present) if present else 0.0
 
 
 def _fraction(name: str, value, expected: str) -> float:
@@ -236,11 +247,6 @@ def combined_score(p_student: AttributeProfile, p_model: AttributeProfile,
     location = location_similarity(p_student.location, p_model.location)
     interest = interest_similarity(p_student.interests, p_model.interests, threshold)
 
-    present = [c for c in (gender, race, location, interest) if c is not None]
-    if present:
-        combined = sum(present) / len(present)
-        no_signal = False
-    else:
-        combined = 0.0
-        no_signal = True
-    return SimilarityBreakdown(gender, race, location, interest, combined, no_signal)
+    components = (gender, race, location, interest)
+    return SimilarityBreakdown(*components, combined=_mean_of_present(components),
+                               no_signal=all(c is None for c in components))

@@ -15,7 +15,7 @@ never from the annotations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -222,11 +222,7 @@ class SynthConfig:
     def from_dict(cls, data: Mapping) -> "SynthConfig":
         if not isinstance(data, Mapping):
             raise SynthError("synth config must be a JSON object")
-        known = {
-            "seed", "n_students", "n_candidates", "cities", "gender_marginals",
-            "race_marginals", "interest_vocabulary", "min_interests", "max_interests",
-            "planted_fraction", "missingness", "label_mix",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise SynthError(f"unknown synth config keys: {sorted(unknown)}")

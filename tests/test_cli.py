@@ -1,6 +1,7 @@
 """Command-line entry points, exercised through ``main(argv)``."""
 
 import json
+import shutil
 
 import pytest
 
@@ -89,8 +90,6 @@ def test_pipeline_command_runs_from_a_config_file(corpus, tmp_path):
     }), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path)]) == 0
     assert (tmp_path / "out" / "report.json").exists()
-    # a resumed run over complete outputs is a no-op that still succeeds
-    assert main(["pipeline", "--config", str(config_path), "--resume"]) == 0
 
 
 def test_stage_commands_write_the_same_bytes_as_a_pipeline_run(tmp_path):
@@ -129,6 +128,118 @@ def test_stage_commands_write_the_same_bytes_as_a_pipeline_run(tmp_path):
     for name in ("labels.jsonl", "model.txt", "predicted.jsonl", "rolemodels.jsonl",
                  "student_profiles.jsonl", "rolemodel_profiles.jsonl", "matches.jsonl"):
         assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(corpus, tmp_path_factory):
+    """The output directory of one pipeline run over ``corpus``, with annotations."""
+    root = tmp_path_factory.mktemp("cli-pipeline")
+    config_path = root / "pipeline.json"
+    config_path.write_text(json.dumps({
+        "students": str(corpus / "students.jsonl"),
+        "candidates": str(corpus / "candidates.jsonl"),
+        "annotations": str(corpus / "gt.jsonl"),
+        "out_dir": str(root / "out"),
+    }), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    return root / "out"
+
+
+def tree_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+# Each stage command, with its inputs taken from a pipeline run's directory
+# (named "{out}") or the corpus ("{corpus}"), and the files it rewrites there.
+REBUILDS = {
+    "label": (["label", "--students", "{corpus}/students.jsonl", "--out", "{out}/labels.jsonl"],
+              ("labels.jsonl",)),
+    "classify": (["classify", "--train", "{out}/labels.jsonl",
+                  "--students", "{corpus}/students.jsonl", "--model-out", "{out}/model.txt",
+                  "--out", "{out}/predicted.jsonl"], ("model.txt", "predicted.jsonl")),
+    "identify": (["identify", "--candidates", "{corpus}/candidates.jsonl",
+                  "--out", "{out}/rolemodels.jsonl"], ("rolemodels.jsonl",)),
+    "attributes-student": (["attributes", "--in", "{corpus}/students.jsonl", "--kind", "student",
+                            "--predicted", "{out}/predicted.jsonl",
+                            "--out", "{out}/student_profiles.jsonl"],
+                           ("student_profiles.jsonl",)),
+    "attributes-candidate": (["attributes", "--in", "{out}/rolemodels.jsonl",
+                              "--kind", "candidate", "--out", "{out}/rolemodel_profiles.jsonl"],
+                             ("rolemodel_profiles.jsonl",)),
+    "rank": (["rank", "--students", "{out}/student_profiles.jsonl",
+              "--rolemodels", "{out}/rolemodel_profiles.jsonl", "--out", "{out}/matches.jsonl"],
+             ("matches.jsonl",)),
+}
+
+
+@pytest.mark.parametrize("stage", list(REBUILDS))
+def test_a_stage_command_rebuilds_its_artifacts_from_the_files_of_a_pipeline_run(
+        corpus, pipeline_run, tmp_path, stage):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_run, out)
+    argv, rebuilt = REBUILDS[stage]
+    for name in rebuilt:
+        (out / name).unlink()
+    assert main([arg.format(corpus=corpus, out=out) for arg in argv]) == 0
+    assert tree_bytes(out) == tree_bytes(pipeline_run)
+
+
+@pytest.mark.parametrize("level", ["city-all", "state-all", "city-top10", "state-top10"])
+def test_evaluate_on_a_pipeline_runs_matches_gives_the_reports_accuracy(
+        corpus, pipeline_run, tmp_path, level):
+    assert main(["evaluate", "--matches", str(pipeline_run / "matches.jsonl"),
+                 "--annotations", str(corpus / "gt.jsonl"), "--level", level,
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    report = json.loads((pipeline_run / "report.json").read_text(encoding="utf-8"))
+    assert json.loads((tmp_path / "eval.json").read_text(encoding="utf-8")) == \
+        report["evaluation"][level]
+
+
+# The stage command that reads each keyed artifact, and the field of its id.
+ARTIFACT_READERS = {
+    "rolemodels.jsonl": (["attributes", "--in", "{out}/rolemodels.jsonl", "--kind", "candidate",
+                          "--out", "{tmp}/written.jsonl"], "id"),
+    "predicted.jsonl": (["attributes", "--in", "{corpus}/students.jsonl", "--kind", "student",
+                         "--predicted", "{out}/predicted.jsonl", "--out", "{tmp}/written.jsonl"],
+                        "id"),
+    "matches.jsonl": (["evaluate", "--matches", "{out}/matches.jsonl",
+                       "--annotations", "{corpus}/gt.jsonl", "--out", "{tmp}/written.jsonl"],
+                      "student_id"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARTIFACT_READERS))
+def test_a_repeated_row_of_an_artifact_fails_its_reader_naming_file_line_and_id(
+        corpus, pipeline_run, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_run, out)
+    path = out / name
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(rows) + rows[0], encoding="utf-8")
+    argv, id_field = ARTIFACT_READERS[name]
+    assert main([arg.format(corpus=corpus, out=out, tmp=tmp_path) for arg in argv]) == 1
+    repeated = json.loads(rows[0])[id_field]
+    err = capsys.readouterr().err
+    assert f"error: {path} line {len(rows) + 1}: duplicate id {repeated!r}" in err
+    assert not (tmp_path / "written.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad", [["stem-industry"], 5])
+def test_a_role_model_reason_that_is_not_a_string_fails_attributes_naming_file_and_line(
+        pipeline_run, tmp_path, capsys, bad):
+    rolemodels = tmp_path / "rolemodels.jsonl"
+    rows = (pipeline_run / "rolemodels.jsonl").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    rows[1] = json.dumps({**json.loads(rows[1]), "reason": bad}) + "\n"
+    rolemodels.write_text("".join(rows), encoding="utf-8")
+    assert main(["attributes", "--in", str(rolemodels), "--kind", "candidate",
+                 "--out", str(tmp_path / "cprof.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {rolemodels} line 2: field 'reason' must be a string, got {bad!r}" in err
+    assert not (tmp_path / "cprof.jsonl").exists()
 
 
 def test_predicted_with_candidate_profiles_is_a_clean_error(corpus, tmp_path, capsys):

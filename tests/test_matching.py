@@ -460,11 +460,18 @@ def test_match_file_round_trip(tmp_path):
     pytest.param({"combined": 0.0, "no_signal": False},
                  "'no_signal' must be true exactly when every component is null",
                  id="signal-without-a-component"),
+    pytest.param({"gender": 1.0, "combined": 0.2, "no_signal": False},
+                 "similarity 'combined' must be 1.0, the mean of the present components "
+                 "(0.0 with none), got 0.2", id="combined-not-the-mean"),
+    pytest.param({"combined": 0.7, "no_signal": True},
+                 "similarity 'combined' must be 0.0, the mean of the present components "
+                 "(0.0 with none), got 0.7", id="no-signal-with-a-combined-score"),
 ])
 def test_a_combined_score_too_large_for_a_float_is_a_bad_row_naming_file_and_line(
         tmp_path, fields, message):
     # also every other similarity outside [0, 1] or too large for a float,
-    # and a no_signal flag that disagrees with the components
+    # a no_signal flag that disagrees with the components, and a combined
+    # score that is not the mean of the present components
     path = tmp_path / "matches.jsonl"
     write_jsonl(path, [{"student_id": "s1", "ranked": []},
                        {"student_id": "s2", "ranked": [{"candidate_id": "c1", **fields}]}])

@@ -9,7 +9,6 @@ import pytest
 from stem_match import pipeline
 from stem_match.pages import PROFILE_URL_TEMPLATE
 from stem_match.pipeline import (
-    STAGES,
     PipelineConfig,
     PipelineError,
     run_pipeline,
@@ -42,7 +41,6 @@ def test_run_produces_every_artifact(tmp_path, corpus):
     result = run_pipeline(make_config(corpus, tmp_path / "out"))
     for name, path in result.paths.items():
         assert path.exists(), name
-    assert result.skipped == []
     pages = sorted((tmp_path / "out" / "pages").glob("*.html"))
     assert pages, "no pages were rendered"
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
@@ -70,25 +68,6 @@ def test_evaluation_is_omitted_without_annotations(tmp_path, corpus):
     config = make_config(corpus, tmp_path / "out", annotations=None)
     report = run_pipeline(config).report
     assert "evaluation" not in report
-
-
-def test_resume_skips_everything_after_a_complete_run(tmp_path, corpus):
-    config = make_config(corpus, tmp_path / "out")
-    run_pipeline(config)
-    second = run_pipeline(config, resume=True)
-    assert second.skipped == list(STAGES)
-
-
-def test_resume_reruns_only_stages_with_missing_outputs(tmp_path, corpus):
-    config = make_config(corpus, tmp_path / "out")
-    first = run_pipeline(config)
-    baseline = first.paths["matches"].read_bytes()
-    first.paths["matches"].unlink()
-    second = run_pipeline(config, resume=True)
-    assert "rank" not in second.skipped
-    assert "label" in second.skipped
-    # a rerun over the same inputs reproduces the artifact byte for byte
-    assert first.paths["matches"].read_bytes() == baseline
 
 
 def tree_bytes(root):
@@ -136,126 +115,41 @@ def test_one_run_parses_students_once_and_never_reads_matches_back(tmp_path, cor
     assert load_counts == dict(NO_LOADS, load_students=1)
 
 
-# What a resumed run loads, by the first stage it reruns: the students file,
-# and each artifact that a rerun stage reads and a skipped stage wrote.
-# ``read_jsonl`` reads the predicted rows, and inside ``load_rolemodels`` the
-# role models and their reasons, both from one read.
-RESUME_LOADS = {
-    "label": dict(NO_LOADS, load_students=1),
-    "classify": dict(NO_LOADS, load_students=1, read_labels=1),
-    "identify": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, read_jsonl=1),
-    "attributes": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1,
-                       load_rolemodels=1, read_jsonl=2),
-    "rank": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_profiles=2,
-                 load_rolemodels=1, read_jsonl=2),
-    "report": dict(NO_LOADS, load_students=1, read_labels=1, load_model=1, load_rolemodels=1,
-                   load_matches=1, read_jsonl=2),
-    "pages": dict(NO_LOADS, load_students=1, load_rolemodels=1, load_matches=1, read_jsonl=1),
-}
-STAGE_FILES = {
-    "label": ("labels.jsonl",), "classify": ("model.txt", "predicted.jsonl"),
-    "identify": ("rolemodels.jsonl",),
-    "attributes": ("student_profiles.jsonl", "rolemodel_profiles.jsonl"),
-    "rank": ("matches.jsonl",), "report": ("report.json",), "pages": ("pages",),
-}
-
-
-def files_from(stage):
-    """The files that ``stage`` and every later stage write."""
-    return tuple(name for later in STAGES[STAGES.index(stage):] for name in STAGE_FILES[later])
-
-
-@pytest.mark.parametrize("removed, rerun", [
-    (("report.json", "pages"), ["report", "pages"]),
-    (("pages",), ["pages"]),
-    (files_from("rank"), ["rank", "report", "pages"]),
-    (files_from("attributes"), ["attributes", "rank", "report", "pages"]),
-    (files_from("identify"), ["identify", "attributes", "rank", "report", "pages"]),
-    (files_from("classify"), list(STAGES[1:])),
-    (files_from("label"), list(STAGES)),
-])
-def test_resume_rebuilds_late_stages_from_the_files_on_disk(tmp_path, corpus, load_counts,
-                                                            removed, rerun):
-    fresh = tmp_path / "fresh"
-    run_pipeline(make_config(corpus, fresh))
-    out = tmp_path / "out"
-    shutil.copytree(fresh, out)
-    for name in removed:
-        if (out / name).is_dir():
-            shutil.rmtree(out / name)
-        else:
-            (out / name).unlink()
-    load_counts.update(NO_LOADS)
-
-    result = run_pipeline(make_config(corpus, out), resume=True)
-
-    assert [stage for stage in STAGES if stage not in result.skipped] == rerun
-    assert load_counts == RESUME_LOADS[rerun[0]]
-    assert tree_bytes(out) == tree_bytes(fresh)
-
-
-def assert_a_resume_rejects_a_repeated_first_row(corpus, out, name, stage, id_field):
-    """Run, append the first row of artifact ``name`` to it, delete what
-    ``stage`` and every later stage write, and resume: the resume must fail
-    in ``stage``, naming the file, the appended line and the row's id."""
-    run_pipeline(make_config(corpus, out))
-    path = out / name
-    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(rows) + rows[0], encoding="utf-8")
-    for removed in files_from(stage):
-        if (out / removed).is_dir():
-            shutil.rmtree(out / removed)
-        else:
-            (out / removed).unlink()
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(make_config(corpus, out), resume=True)
-    assert err.value.stage == stage
-    repeated = json.loads(rows[0])[id_field]
-    assert f"{path} line {len(rows) + 1}: duplicate id {repeated!r}" in str(err.value)
-
-
-def test_a_repeated_role_model_fails_a_resume_naming_file_line_and_id(tmp_path, corpus):
-    assert_a_resume_rejects_a_repeated_first_row(
-        corpus, tmp_path / "out", "rolemodels.jsonl", "attributes", "id")
-
-
-@pytest.mark.parametrize("name, stage, id_field", [
-    ("predicted.jsonl", "attributes", "id"),
-    ("matches.jsonl", "report", "student_id"),
-])
-def test_a_repeated_row_of_an_artifact_fails_a_resume_naming_file_line_and_id(
-        tmp_path, corpus, name, stage, id_field):
-    assert_a_resume_rejects_a_repeated_first_row(corpus, tmp_path / "out", name, stage, id_field)
-
-
-@pytest.mark.parametrize("bad", [["stem-industry"], 5])
-def test_a_role_model_reason_that_is_not_a_string_fails_a_resume_naming_file_and_line(
-        tmp_path, corpus, bad):
-    out = tmp_path / "out"
-    run_pipeline(make_config(corpus, out))
-    rolemodels = out / "rolemodels.jsonl"
-    rows = rolemodels.read_text(encoding="utf-8").splitlines(keepends=True)
-    rows[1] = json.dumps({**json.loads(rows[1]), "reason": bad}) + "\n"
-    rolemodels.write_text("".join(rows), encoding="utf-8")
-    (out / "report.json").unlink()
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(make_config(corpus, out), resume=True)
-    assert err.value.stage == "report"
-    assert f"{rolemodels} line 2: field 'reason' must be a string, got {bad!r}" in str(err.value)
-
-
-def test_rerun_with_a_smaller_cohort_removes_pages_of_departed_students(tmp_path, corpus):
-    out = tmp_path / "out"
-    run_pipeline(make_config(corpus, out))
+def fewer_students(tmp_path, corpus, out):
+    """Half the cohort, so some students whose pages ``out`` holds depart."""
     rows = corpus["students"].read_text(encoding="utf-8").splitlines(keepends=True)
     smaller = tmp_path / "smaller.jsonl"
     smaller.write_text("".join(rows[:len(rows) // 2]), encoding="utf-8")
     departed = {json.loads(row)["id"] for row in rows[len(rows) // 2:]}
     assert departed & {p.stem for p in (out / "pages").glob("*.html")}
+    return dict(students=smaller)
 
-    run_pipeline(make_config(corpus, out, students=smaller))
-    run_pipeline(make_config(corpus, tmp_path / "fresh", students=smaller))
-    assert tree_bytes(out / "pages") == tree_bytes(tmp_path / "fresh" / "pages")
+
+def smaller_k(tmp_path, corpus, out):
+    """A smaller ``k`` than the first run's 5."""
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["matching"]["k"] == 5
+    return dict(k=2)
+
+
+def damaged_outputs(tmp_path, corpus, out):
+    """Cut ``matches.jsonl`` to 3 rows, and delete the report and the pages."""
+    matches = out / "matches.jsonl"
+    rows = matches.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(rows) > 3
+    matches.write_text("".join(rows[:3]), encoding="utf-8")
+    (out / "report.json").unlink()
+    shutil.rmtree(out / "pages")
+    return {}
+
+
+@pytest.mark.parametrize("change", [fewer_students, smaller_k, damaged_outputs])
+def test_a_rerun_into_a_used_out_dir_equals_a_fresh_run(tmp_path, corpus, change):
+    out = tmp_path / "out"
+    run_pipeline(make_config(corpus, out))
+    overrides = change(tmp_path, corpus, out)
+    run_pipeline(make_config(corpus, out, **overrides))
+    run_pipeline(make_config(corpus, tmp_path / "fresh", **overrides))
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
 
 
 def test_a_report_that_fails_mid_write_leaves_the_previous_report_whole(tmp_path):
