@@ -11,7 +11,6 @@ candidate interests are their stated interests and skills.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +20,7 @@ from .records import (
     PredictorOutput,
     RecordError,
     StudentRecord,
+    _WS_RUN,
     read_jsonl,
     write_jsonl,
 )
@@ -30,20 +30,10 @@ from .similarity import normalize_location
 SOURCE_PRIORITY = {"name-gender": 0, "face": 1, "name-demographics": 2}
 
 _HASHTAG = re.compile(r"#(\w+)")
-_WS_RUN = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class ResolvedAttribute:
-    """Winning prediction for one attribute: value, source, accuracy."""
-
-    value: str
-    source: str
-    accuracy: float
-
-
-def _resolve(outputs: Iterable[PredictorOutput], attribute: str) -> ResolvedAttribute | None:
-    """Pick the highest-accuracy non-null prediction for one attribute.
+def _resolve(outputs: Iterable[PredictorOutput], attribute: str) -> PredictorOutput | None:
+    """The highest-accuracy non-null prediction for one attribute, or None.
 
     Ties go to the higher-priority source (name-gender, then face, then
     name-demographics), then to the lexicographically smaller value, so
@@ -59,16 +49,14 @@ def _resolve(outputs: Iterable[PredictorOutput], attribute: str) -> ResolvedAttr
         if best is None or key < best:
             best = key
             winner = output
-    if winner is None:
-        return None
-    return ResolvedAttribute(winner.value, winner.source, winner.accuracy)  # type: ignore[arg-type]
+    return winner
 
 
-def resolve_gender(outputs: Iterable[PredictorOutput]) -> ResolvedAttribute | None:
+def resolve_gender(outputs: Iterable[PredictorOutput]) -> PredictorOutput | None:
     return _resolve(outputs, "gender")
 
 
-def resolve_race(outputs: Iterable[PredictorOutput]) -> ResolvedAttribute | None:
+def resolve_race(outputs: Iterable[PredictorOutput]) -> PredictorOutput | None:
     return _resolve(outputs, "race")
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .attributes import _HASHTAG
 from .labeling import COLLEGE, NON_COLLEGE
 from .records import StudentRecord, write_atomic
 
@@ -34,7 +35,6 @@ _EMOJI = re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI
 # Whole-token, case-sensitive laughter markers: HAHA (two or more HA
 # repetitions, optional trailing H) and LOL with any number of Os.
 _HAHALOL = re.compile(r"\b(?:(?:HA){2,}H?|LO+L)\b")
-_HASHTAG = re.compile(r"#\w")
 RETWEET_PREFIX = "RT @"
 
 BASE_FEATURES = ("emoji_bin", "hashtag_bin", "hahalol_bin")

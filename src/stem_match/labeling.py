@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -172,36 +173,25 @@ def label_student(record: StudentRecord, rules: Sequence[LabelRule]) -> WeakLabe
     return WeakLabel(UNLABELED)
 
 
+def label_counts(values: Iterable[str]) -> dict[str, int]:
+    """How many of ``values`` are each label, keyed in ``LABEL_VALUES`` order."""
+    counts = Counter(values)
+    return {value: counts[value] for value in LABEL_VALUES}
+
+
 @dataclass
 class LabelPartition:
-    """Exhaustive, disjoint split of a corpus by weak label."""
+    """The weak label of every student of a corpus, by student id."""
 
-    college: list[StudentRecord] = field(default_factory=list)
-    non_college: list[StudentRecord] = field(default_factory=list)
-    unlabeled: list[StudentRecord] = field(default_factory=list)
     labels: dict[str, WeakLabel] = field(default_factory=dict)
 
     def counts(self) -> dict[str, int]:
-        return {
-            COLLEGE: len(self.college),
-            NON_COLLEGE: len(self.non_college),
-            UNLABELED: len(self.unlabeled),
-        }
+        return label_counts(label.value for label in self.labels.values())
 
 
 def label_corpus(records: Iterable[StudentRecord], rules: Sequence[LabelRule]) -> LabelPartition:
-    """Label every record and partition the corpus by the result."""
-    partition = LabelPartition()
-    buckets = {
-        COLLEGE: partition.college,
-        NON_COLLEGE: partition.non_college,
-        UNLABELED: partition.unlabeled,
-    }
-    for record in records:
-        label = label_student(record, rules)
-        partition.labels[record.id] = label
-        buckets[label.value].append(record)
-    return partition
+    """Label every record."""
+    return LabelPartition({record.id: label_student(record, rules) for record in records})
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +199,21 @@ def label_corpus(records: Iterable[StudentRecord], rules: Sequence[LabelRule]) -
 # ---------------------------------------------------------------------------
 
 
+def _rule(row: Mapping) -> LabelRule:
+    """One rules-file row as a rule: a nonempty string ``pattern``, a string
+    ``label`` and, when present, a string ``description``."""
+    pattern, label, description = row.get("pattern"), row.get("label"), row.get("description", "")
+    if not isinstance(pattern, str) or not pattern:
+        raise LabelError(f"rule pattern must be a nonempty string, got {pattern!r}")
+    for name, value in (("label", label), ("description", description)):
+        if not isinstance(value, str):
+            raise LabelError(f"rule {name} must be a string, got {value!r}")
+    return LabelRule(pattern, label, description)
+
+
 def load_rules(path: str | Path) -> list[LabelRule]:
     """Load rules from a JSON Lines file; any invalid rule is fatal."""
-    return read_jsonl(path, lambda data: LabelRule(
-        pattern=str(data.get("pattern", "")),
-        label=str(data.get("label", "")),
-        description=str(data.get("description", "")),
-    ))
+    return read_jsonl(path, _rule)
 
 
 def default_rules() -> list[LabelRule]:

@@ -117,14 +117,14 @@ class CandidateIndex:
             raise MatchError("duplicate candidate ids")
         self.threshold = threshold
         self.ids = ids
-        self.profiles = [profile for _, profile in candidates]
+        profiles = [profile for _, profile in candidates]
 
-        self._gender_codes, self._gender_vocab = _encode([p.gender for p in self.profiles])
-        self._race_codes, self._race_vocab = _encode([p.race for p in self.profiles])
+        self._gender_codes, self._gender_vocab = _encode([p.gender for p in profiles])
+        self._race_codes, self._race_vocab = _encode([p.race for p in profiles])
 
         locations = [
             normalize_location(p.location) if p.location is not None else None
-            for p in self.profiles
+            for p in profiles
         ]
         self._loc_codes, self._loc_vocab = _encode(locations)
         self._loc_sim_cache: dict[str, np.ndarray] = {}
@@ -132,12 +132,12 @@ class CandidateIndex:
         # Interest vocabulary over candidate interest strings; each
         # candidate keeps a bitmask of its words in it and their count.
         vocab: dict[str, int] = {}
-        self._cand_masks = [0] * len(self.profiles)
-        for i, profile in enumerate(self.profiles):
+        self._cand_masks = [0] * len(profiles)
+        for i, profile in enumerate(profiles):
             for interest in sorted(profile.interests):
                 self._cand_masks[i] |= 1 << vocab.setdefault(interest, len(vocab))
         self._vocab_words = list(vocab)
-        self._cand_sizes = [len(p.interests) for p in self.profiles]
+        self._cand_sizes = [len(p.interests) for p in profiles]
         self._student_mask_cache: dict[str, int] = {}
         self._interest_memo: tuple = (None, None)
 
@@ -151,7 +151,7 @@ class CandidateIndex:
     # perfbench/tracing.py counts pairs scored as len(index) on each traced
     # CandidateIndex.score call (COUNTERS["matching.CandidateIndex.score"]).
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.ids)
 
     def _interest_mask(self, interest: str) -> int:
         """Bitmask of candidate-vocabulary words fuzzy-equal to ``interest``."""
@@ -223,7 +223,7 @@ class CandidateIndex:
 
     def _interest_component(self, interests: frozenset[str]) -> np.ndarray:
         """Read-only interest similarities for one interest set, 0.0 where absent."""
-        n = len(self.profiles)
+        n = len(self.ids)
         sims = np.zeros(n)
         if not interests:
             return _read_only(sims)

@@ -268,10 +268,17 @@ def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]
     return [record for record, _ in pairs], [reason for _, reason in pairs]
 
 
+def _predicted_row(row: dict) -> dict:
+    college = row.get("college")
+    if not isinstance(college, bool):
+        raise RecordError(f"field 'college' must be true or false, got {college!r}")
+    return row
+
+
 def load_predicted(path: str | Path) -> list[dict]:
-    """The classify stage's rows; a row without a student id, or with a
-    repeated one, is fatal."""
-    return read_jsonl(path, key=lambda row: row.get("id"))
+    """The classify stage's rows; a row without a student id, with a
+    repeated one, or whose ``college`` is not a boolean, is fatal."""
+    return read_jsonl(path, _predicted_row, key=lambda row: row.get("id"))
 
 
 def college_students(students: Iterable[StudentRecord], predicted_rows: Iterable[Mapping]
@@ -305,14 +312,10 @@ def report(results: Sequence[MatchResult], labels: Mapping[str, str],
            annotations: Mapping[str, GroundTruthAnnotation] | None,
            top10_cities: Sequence[str]) -> dict:
     """Summarize a run's artifacts, plus accuracy per level when annotated."""
-    label_counts = {
-        value: sum(1 for v in labels.values() if v == value) for value in labeling.LABEL_VALUES
-    }
-
     summary: dict = {
         "cohort": {
             "students": len(predicted_rows),
-            "weak_labels": label_counts,
+            "weak_labels": labeling.label_counts(labels.values()),
             "college": sum(1 for row in predicted_rows if row.get("college") is True),
             "classifier_college": sum(
                 1 for row in predicted_rows if row.get("predicted") == labeling.COLLEGE
@@ -344,9 +347,9 @@ def report(results: Sequence[MatchResult], labels: Mapping[str, str],
 def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
           role_models: Iterable[CandidateRecord], pages_dir: str | Path,
           survey_url: str | None, url_template: str) -> list[Path]:
-    """Write one page per student with at least one ranked role model."""
+    """Write one page per student, listing its ranked role models."""
     return pages_mod.write_pages(
-        [r for r in results if r.ranked], display_names, {r.id: r for r in role_models},
+        results, display_names, {r.id: r for r in role_models},
         pages_dir, survey_url=survey_url, url_template=url_template,
     )
 

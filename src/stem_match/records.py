@@ -447,9 +447,9 @@ def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -
     not an error.
     """
     if industries is None:
-        vocabulary = default_industry_names()
-    else:
-        vocabulary = frozenset(_norm_key(name) for name in industries)
+        from .rolemodels import default_taxonomy  # rolemodels imports this module
+        industries = default_taxonomy().groups
+    vocabulary = frozenset(_norm_key(name) for name in industries)
     shared: dict = {}
     errors: list[LoadError] = []
     build = partial(CandidateRecord.from_dict, industries=vocabulary, shared=shared)
@@ -496,9 +496,3 @@ def read_jsonl(path: str | Path, build: Callable[[dict], object] | None = None,
     type, with the prefix "<path> line <n>: ".
     """
     return _read_rows(path, build, key)
-
-
-def default_industry_names() -> frozenset[str]:
-    """Normalized industry names from the bundled taxonomy file."""
-    rows = read_jsonl(DATA_DIR / "taxonomy.jsonl")
-    return frozenset(_norm_key(row["industry"]) for row in rows)

@@ -10,15 +10,12 @@ score of 0 and a no-signal flag.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .records import AttributeProfile, RecordError
+from .records import _WS_RUN, AttributeProfile, RecordError
 
 DEFAULT_FUZZY_THRESHOLD = 0.8
-
-_WS_RUN = re.compile(r"\s+")
 
 
 def levenshtein(s1: str, s2: str) -> int:

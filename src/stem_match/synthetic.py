@@ -26,8 +26,6 @@ from .records import (
     CandidateRecord,
     PredictorOutput,
     StudentRecord,
-    _norm_key,
-    default_industry_names,
     read_jsonl,
     write_jsonl,
 )
@@ -323,7 +321,6 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
     industries = _industries_by_group()
     taxonomy = default_taxonomy()
     majors = default_majors()
-    known_industries = default_industry_names()
     stem_major_forms = tuple(majors.canonical[:8]) + ("cs", "comp sci", "computer science")
 
     sid_width = max(4, len(str(config.n_students)))
@@ -437,7 +434,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
             predictor_outputs=_predictor_outputs(
                 None if miss_gender else gender, None if miss_race else race
             ),
-            unknown_industry=_norm_key(industry) not in known_industries,
+            unknown_industry=taxonomy.group_of(industry) is None,
         )
         candidates.append(record)
         candidate_rows.append(

@@ -90,11 +90,9 @@ def test_label_corpus_partition_is_exhaustive_and_disjoint():
         StudentRecord(id="d", bio="father, i'm going to college", tweets=("x",)),
     ]
     partition = label_corpus(records, RULES)
-    assert [r.id for r in partition.college] == ["a"]
-    assert [r.id for r in partition.non_college] == ["b"]
-    assert [r.id for r in partition.unlabeled] == ["c", "d"]
-    assert partition.counts() == {COLLEGE: 1, NON_COLLEGE: 1, UNLABELED: 2}
-    assert set(partition.labels) == {"a", "b", "c", "d"}
+    assert {sid: label.value for sid, label in partition.labels.items()} == {
+        "a": COLLEGE, "b": NON_COLLEGE, "c": UNLABELED, "d": UNLABELED}
+    assert list(partition.counts().items()) == [(COLLEGE, 1), (NON_COLLEGE, 1), (UNLABELED, 2)]
 
 
 def test_label_rows_only_carry_conflict_fields_when_conflicted():
@@ -133,6 +131,27 @@ def test_load_rules_round_trip(tmp_path):
     loaded = load_rules(path)
     assert [r.description for r in loaded] == [r.description for r in RULES]
     assert [r.label for r in loaded] == [r.label for r in RULES]
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"label": COLLEGE, "description": "x"}, "rule pattern must be a nonempty string, got None"),
+    ({"pattern": "", "label": COLLEGE}, "rule pattern must be a nonempty string, got ''"),
+    ({"pattern": 5, "label": COLLEGE}, "rule pattern must be a nonempty string, got 5"),
+    ({"pattern": "x", "label": ["college"]}, "rule label must be a string, got ['college']"),
+    ({"pattern": "x", "label": COLLEGE, "description": None},
+     "rule description must be a string, got None"),
+    ({"pattern": "x", "label": COLLEGE, "description": 5}, "rule description must be a string, got 5"),
+], ids=["no-pattern", "empty-pattern", "number-pattern", "list-label", "null-description",
+        "number-description"])
+def test_a_rule_row_with_a_missing_or_mistyped_field_is_an_error_naming_file_and_line(
+        tmp_path, row, message):
+    path = tmp_path / "rules.jsonl"
+    write_jsonl(path, [{"pattern": "x", "label": COLLEGE}])
+    assert [rule.description for rule in load_rules(path)] == [""]
+    write_jsonl(path, [{"pattern": "x", "label": COLLEGE}, row])
+    with pytest.raises(LabelError) as err:
+        load_rules(path)
+    assert str(err.value) == f"{path} line 2: {message}"
 
 
 def test_bundled_rules_cover_both_labels():

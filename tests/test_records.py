@@ -197,6 +197,19 @@ def test_a_kept_reason_must_be_a_string(tmp_path):
         assert str(err.value) == f"{path} line 2: field 'reason' must be a string, got {bad!r}"
 
 
+@pytest.mark.parametrize("second", [{"id": "s1", "college": "true"}, {"id": "s1", "college": 1},
+                                    {"id": "s1", "college": None}, {"id": "s1"}],
+                         ids=["string", "number", "null", "missing"])
+def test_a_prediction_whose_college_is_not_a_boolean_is_an_error_naming_file_and_line(
+        tmp_path, second):
+    path = tmp_path / "predicted.jsonl"
+    write_jsonl(path, [{"id": "s0", "college": True}, second])
+    with pytest.raises(RecordError) as err:
+        load_predicted(path)
+    assert str(err.value) == (
+        f"{path} line 2: field 'college' must be true or false, got {second.get('college')!r}")
+
+
 # ---------------------------------------------------------------------------
 # JSONL loading
 # ---------------------------------------------------------------------------

@@ -130,11 +130,11 @@ def test_label_mix_is_approximately_honored():
 
     config = SynthConfig(seed=8, n_students=3000, n_candidates=10)
     population = generate_population(config)
-    split = label_corpus(population.students, default_rules())
+    counts = label_corpus(population.students, default_rules()).counts()
     n = config.n_students
-    assert abs(len(split.college) / n - 0.60) < 0.05
-    assert abs(len(split.non_college) / n - 0.25) < 0.05
-    assert abs(len(split.unlabeled) / n - 0.15) < 0.05
+    assert abs(counts["college"] / n - 0.60) < 0.05
+    assert abs(counts["non-college"] / n - 0.25) < 0.05
+    assert abs(counts["unlabeled"] / n - 0.15) < 0.05
 
 
 def test_generate_synthetic_writes_three_jsonl_files(tmp_path):
