@@ -11,6 +11,7 @@ little accuracy rather than add any.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,6 +108,23 @@ def extract_features(record: StudentRecord, with_retweet: bool = False) -> Featu
 # ---------------------------------------------------------------------------
 
 
+_FINITE = (math.isfinite, "a finite number")
+# Model field -> (accepts(value), what it must be).  A field without a rule
+# of its own, such as a feature's weight, must be finite.  ``TrainConfig``,
+# ``ClassifierModel`` and ``load_model`` all check through ``_check``.
+_RULES = {
+    "lam": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "epochs": (lambda v: v >= 1, "at least 1"),
+    "cv_accuracy": (lambda v: v is None or 0.0 <= v <= 1.0, "null or within [0, 1]"),
+}
+
+
+def _check(name: str, value) -> None:
+    accepts, kind = _RULES.get(name, _FINITE)
+    if not accepts(value):
+        raise ClassifierError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 42
@@ -115,8 +133,8 @@ class TrainConfig:
     with_retweet: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ClassifierError(f"epochs must be at least 1, got {self.epochs}")
+        _check("epochs", self.epochs)
+        _check("lam", self.lam)
 
     def active_features(self) -> tuple[str, ...]:
         if self.with_retweet:
@@ -126,7 +144,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Linear model: one weight per active feature plus a bias."""
+    """Linear model: one finite weight per active feature plus a finite bias."""
 
     weights: tuple[float, ...]
     bias: float
@@ -140,20 +158,33 @@ class ClassifierModel:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.active_features):
             raise ClassifierError("one weight per active feature expected")
-
-
-def _design_row(features: FeatureVector, active: Sequence[str]) -> list[float]:
-    row = []
-    for name in active:
-        value = getattr(features, name)
-        if value is None:
-            raise ClassifierError(f"feature/model arity mismatch: {name} missing from vector")
-        row.append(value / (N_BINS - 1))  # rescale bins 0..9 into [0, 1]
-    return row
+        for name, weight in zip(self.active_features, self.weights):
+            _check(name, weight)
+        for name in ("bias", "epochs", "lam", "cv_accuracy"):
+            _check(name, getattr(self, name))
 
 
 def _design_matrix(features: Sequence[FeatureVector], active: Sequence[str]) -> np.ndarray:
-    return np.array([_design_row(f, active) for f in features], dtype=float)
+    """The feature-major design matrix: one row per active feature, its bins
+    0..9 rescaled into [0, 1], then a row of ones that carries the bias."""
+    columns = [[getattr(f, name) for f in features] for name in active]
+    for name, column in zip(active, columns):
+        if None in column:
+            raise ClassifierError(f"feature/model arity mismatch: {name} missing from vector")
+    scaled = np.array(columns, dtype=float).reshape(len(active), len(features)) / (N_BINS - 1)
+    return np.vstack([scaled, np.ones(len(features))])
+
+
+def _decision(XT: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``w·x + b`` for each row ``(w, b)`` of ``W`` and each column of the
+    design matrix ``XT``: an array of one row per row of ``W``.
+
+    The one decision function of training, cross-validation and inference.
+    Elementwise products summed feature by feature call no BLAS kernel, so
+    the floats are the same on every host; each equals the per-example
+    Python sum ``w[0]*x[0] + w[1]*x[1] + ... + b`` bit for bit.
+    """
+    return np.add.reduce(XT * W[:, :, None], axis=1)
 
 
 def _signs(labels: Sequence[str]) -> np.ndarray:
@@ -166,13 +197,6 @@ def _signs(labels: Sequence[str]) -> np.ndarray:
         else:
             raise ClassifierError(f"training label must be college or non-college, got {label!r}")
     return signs
-
-
-def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:
-    margins = y * (X @ w + b)
-    # np.add.reduce(.) / n is the sum np.mean takes, without its overhead
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * lam * (w @ w) + np.add.reduce(hinge) / len(hinge))
 
 
 def train(features: Sequence[FeatureVector], labels: Sequence[str],
@@ -191,54 +215,75 @@ def train(features: Sequence[FeatureVector], labels: Sequence[str],
     return _fit(_design_matrix(features, config.active_features()), y, config)
 
 
-def _fit(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> ClassifierModel:
-    """``train`` on a design matrix and its ±1 labels."""
-    n_pos = int(np.sum(y > 0))
-    n_neg = len(y) - n_pos
-    if n_pos < 2 or n_neg < 2:
+# Multipliers of an epoch's step size, 1 down to 2**-59 as one column, tried
+# largest first a group at a time: most epochs take the full step.
+_HALVINGS = np.split(0.5 ** np.arange(60)[:, None], [1, 8])
+
+
+def _fit(XT: np.ndarray, y: np.ndarray, config: TrainConfig) -> ClassifierModel:
+    """``train`` on a design matrix and its ±1 labels.
+
+    Training runs over the distinct (example, label) pairs in sorted order,
+    each weighted by its share of the examples, so the sums are those over
+    every example at the cost of the few distinct ones that binned features
+    allow.  Each epoch takes the largest step in ``_HALVINGS`` that does not
+    increase the objective, evaluating a group of steps at once.
+    """
+    n = len(y)
+    n_pos = int(np.add.reduce(y > 0))
+    if n_pos < 2 or n - n_pos < 2:
         raise ClassifierError("need at least 2 examples of each class to train")
     active = config.active_features()
-    n = len(y)
+    lam = config.lam
+    distinct, counts = np.unique(np.vstack([XT, y]), axis=1, return_counts=True)
+    # Each distinct example times its label, so that its decision is its margin.
+    signed = np.ascontiguousarray(distinct[:-1] * distinct[-1])
+    shares = counts / n
+    penalty = np.append(np.full(len(active), lam), 0.0)  # the bias is not penalized
+    half_penalty = 0.5 * penalty
 
-    w = np.zeros(len(active))
-    b = 0.0
-    objective = _objective(X, y, w, b, config.lam)
-    history = [objective]
+    def objectives_and_margins(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        margins = _decision(signed, V)
+        hinge = np.maximum(0.0, 1.0 - margins)
+        return (np.add.reduce(V * V * half_penalty, axis=1)
+                + np.add.reduce(hinge * shares, axis=1)), margins
+
+    v = np.zeros(len(active) + 1)
+    objectives, margins = objectives_and_margins(v[None, :])
+    objective, margins = objectives[0], margins[0]
+    history = [float(objective)]
     for t in range(1, config.epochs + 1):
-        margins = y * (X @ w + b)
-        violating = (margins < 1.0) * y
-        grad_w = config.lam * w - (violating @ X) / n
-        grad_b = -float(np.sum(violating)) / n
-        step = 1.0 / (config.lam * t)
-        for _ in range(60):
-            w_next = w - step * grad_w
-            b_next = b - step * grad_b
-            candidate = _objective(X, y, w_next, b_next, config.lam)
-            if candidate <= objective:
-                w, b, objective = w_next, b_next, candidate
+        grad = penalty * v - np.add.reduce(signed * ((margins < 1.0) * shares), axis=1)
+        for halvings in _HALVINGS:
+            V = v - halvings * (1.0 / (lam * t)) * grad
+            objectives, all_margins = objectives_and_margins(V)
+            accepted = np.flatnonzero(objectives <= objective)
+            if accepted.size:
+                i = accepted[0]
+                v, objective, margins = V[i], objectives[i], all_margins[i]
                 break
-            step *= 0.5
-        history.append(objective)
+        history.append(float(objective))
 
     return ClassifierModel(
-        weights=tuple(float(v) for v in w),
-        bias=float(b),
+        weights=tuple(float(x) for x in v[:-1]),
+        bias=float(v[-1]),
         active_features=active,
         seed=config.seed,
         epochs=config.epochs,
-        lam=config.lam,
+        lam=lam,
         objective_history=tuple(history),
     )
 
 
-def decision_score(model: ClassifierModel, features: FeatureVector) -> float:
-    row = _design_row(features, model.active_features)
-    return float(sum(w * x for w, x in zip(model.weights, row)) + model.bias)
+def _scores(model: ClassifierModel, features: Sequence[FeatureVector]) -> np.ndarray:
+    """The decision score of each vector under ``model``."""
+    XT = _design_matrix(features, model.active_features)
+    return _decision(XT, np.array([model.weights + (model.bias,)]))[0]
 
 
-def infer(model: ClassifierModel, features: FeatureVector) -> str:
-    """Predicted label; a decision score of exactly zero reads as college."""
-    return COLLEGE if decision_score(model, features) >= 0.0 else NON_COLLEGE
+def infer(model: ClassifierModel, features: Sequence[FeatureVector]) -> list[str]:
+    """Predicted labels, one per vector; a decision score of exactly zero reads as college."""
+    return [COLLEGE if score >= 0.0 else NON_COLLEGE for score in _scores(model, features).tolist()]
 
 
 def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: int = 10,
@@ -248,7 +293,7 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
     Examples are shuffled per class with the config seed and dealt
     round-robin (class by class through a shared counter) so fold sizes
     differ by at most one and every fold is populated when n ≥ k.  The
-    design matrix is built once and each fold trains on its rows.
+    design matrix is built once and each fold trains on its columns.
     """
     if k < 2:
         raise ClassifierError("cross-validation needs k >= 2")
@@ -257,7 +302,7 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
     if len(features) < k:
         raise ClassifierError(f"need at least k={k} labeled examples, got {len(features)}")
     y = _signs(labels)  # validates label values up front
-    X = _design_matrix(features, config.active_features())
+    XT = _design_matrix(features, config.active_features())
 
     rng = np.random.default_rng(config.seed)
     fold_of = np.empty(len(labels), dtype=int)
@@ -273,8 +318,9 @@ def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: 
     for fold in range(k):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
-        model = _fit(X[train_idx], y[train_idx], config)
-        hits = sum(1 for i in test_idx if infer(model, features[i]) == labels[i])
+        model = _fit(XT[:, train_idx], y[train_idx], config)
+        predicted = infer(model, [features[i] for i in test_idx])
+        hits = sum(1 for label, i in zip(predicted, test_idx) if label == labels[i])
         accuracies.append(hits / len(test_idx))
     return float(np.mean(accuracies))
 
@@ -297,8 +343,10 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     write_atomic(path, ["\n".join(lines) + "\n"])
 
 
-# Model-file scalar -> its type; a scalar line not listed here is an error.
-_SCALARS = {"bias": float, "lambda": float, "seed": int, "epochs": int, "cv_accuracy": float}
+# Model-file scalar -> the model field it sets and its type; a scalar line
+# not listed here is an error.
+_SCALARS = {"bias": ("bias", float), "lambda": ("lam", float), "seed": ("seed", int),
+            "epochs": ("epochs", int), "cv_accuracy": ("cv_accuracy", float)}
 
 
 def load_model(path: str | Path) -> ClassifierModel:
@@ -316,10 +364,13 @@ def load_model(path: str | Path) -> ClassifierModel:
                 if parts[1] in features:
                     raise ClassifierError(f"duplicate feature {parts[1]!r}")
                 features[parts[1]] = float(parts[2])
+                _check(parts[1], features[parts[1]])
             elif len(parts) == 2 and parts[0] in _SCALARS:
                 if parts[0] in scalars:
                     raise ClassifierError(f"duplicate {parts[0]!r} line")
-                scalars[parts[0]] = _SCALARS[parts[0]](parts[1])
+                name, kind = _SCALARS[parts[0]]
+                scalars[parts[0]] = kind(parts[1])
+                _check(name, scalars[parts[0]])
             else:
                 raise ClassifierError(f"unparseable model line: {line!r}")
         except ValueError as exc:

@@ -16,6 +16,7 @@ stages, or the CLI's stage subcommands, on the files of an earlier run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -68,7 +69,8 @@ _CONFIG_KEYS = {
     "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "fuzzy_threshold": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
                         "a number within [0, 1]"),
-    "lam": (lambda v: (_is_int(v) or isinstance(v, float)) and v > 0, "a number > 0"),
+    "lam": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0,
+            "a finite number > 0"),
     "with_retweet": (lambda v: isinstance(v, bool), "true or false"),
     "top10_cities": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v),
                      "a list of strings"),
@@ -215,16 +217,17 @@ def classify(students: Sequence[StudentRecord], labels: Mapping[str, str],
     if model_out is not None:
         clf.save_model(model, model_out)
 
+    unlabeled = [i for i, record in enumerate(students)
+                 if labels.get(record.id, labeling.UNLABELED) == labeling.UNLABELED and record.tweets]
+    predicted = dict(zip(unlabeled, clf.infer(model, [
+        clf.extract_features(students[i], train_config.with_retweet) for i in unlabeled])))
     rows = []
-    for record in students:
+    for i, record in enumerate(students):
         weak = labels.get(record.id, labeling.UNLABELED)
-        predicted = None
-        if weak == labeling.UNLABELED and record.tweets:
-            predicted = clf.infer(model, clf.extract_features(record, train_config.with_retweet))
-        college = weak == labeling.COLLEGE or predicted == labeling.COLLEGE
+        college = weak == labeling.COLLEGE or predicted.get(i) == labeling.COLLEGE
         row = {"id": record.id, "weak_label": weak, "college": college}
-        if predicted is not None:
-            row["predicted"] = predicted
+        if i in predicted:
+            row["predicted"] = predicted[i]
         rows.append(row)
     write_jsonl(predicted_out, rows)
     return ClassifyResult(model, len(train_records), rows)

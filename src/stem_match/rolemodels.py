@@ -43,7 +43,9 @@ class TaxonomyError(ValueError):
 class IndustryTaxonomy:
     """Mapping from industry name to STEM / STEM-related / non-STEM."""
 
-    groups: Mapping[str, str]  # normalized industry name -> group
+    groups: Mapping[str, str]  # normalized industry name -> group, in file order
+    # normalized industry name -> the name as the file spells it
+    names: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -55,6 +57,11 @@ class IndustryTaxonomy:
     def group_of(self, industry: str) -> str | None:
         """Group for an industry name, case- and whitespace-insensitive."""
         return self.groups.get(_norm_key(industry))
+
+    def industries(self, group: str) -> tuple[str, ...]:
+        """The industries of ``group`` in file order, spelled as in the file."""
+        return tuple(self.names.get(key, key) for key, value in self.groups.items()
+                     if value == group)
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -82,6 +89,7 @@ class StemMajorList:
 
 def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
     groups: dict[str, str] = {}
+    names: dict[str, str] = {}
 
     def add(row: Mapping) -> None:
         name = row.get("industry")
@@ -94,9 +102,10 @@ def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
         if group not in GROUPS:
             raise TaxonomyError(f"unknown group {group!r}")
         groups[key] = group
+        names[key] = name
 
     read_jsonl(path, add)
-    return IndustryTaxonomy(groups)
+    return IndustryTaxonomy(groups, names)
 
 
 def default_taxonomy() -> IndustryTaxonomy:

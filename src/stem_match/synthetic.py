@@ -22,11 +22,9 @@ from typing import Mapping
 from .records import (
     GENDER_VALUES,
     RACE_VALUES,
-    DATA_DIR,
     CandidateRecord,
     PredictorOutput,
     StudentRecord,
-    read_jsonl,
     write_jsonl,
 )
 from .rolemodels import (GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, GROUPS, default_majors,
@@ -257,11 +255,6 @@ class SynthPopulation:
         }
 
 
-def _industries_by_group() -> dict[str, tuple[str, ...]]:
-    rows = read_jsonl(DATA_DIR / "taxonomy.jsonl")
-    return {group: tuple(row["industry"] for row in rows if row["group"] == group) for group in GROUPS}
-
-
 def _predictor_outputs(gender: str | None, race: str | None) -> tuple[PredictorOutput, ...]:
     outputs = []
     if gender is not None:
@@ -318,8 +311,8 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
     always get a STEM-group industry so the role-model filter keeps them.
     """
     rng = random.Random(config.seed)
-    industries = _industries_by_group()
     taxonomy = default_taxonomy()
+    industries = {group: taxonomy.industries(group) for group in GROUPS}
     majors = default_majors()
     stem_major_forms = tuple(majors.canonical[:8]) + ("cs", "comp sci", "computer science")
 

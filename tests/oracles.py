@@ -4,9 +4,10 @@ Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
 matching, a per-pair full sort for ranking, a per-character range
 test for emoji, separate HAHA and LOL searches for laughter, every rule's
-regex on every text with no literal gate for weak labels, and a
-field-by-field comparison per ranked pair for match accuracy, so
-agreement is evidence rather than tautology.
+regex on every text with no literal gate for weak labels, a
+field-by-field comparison per ranked pair for match accuracy, and a
+per-example Python sum for the classifier's decision score, so agreement
+is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from stem_match.classifier import EMOJI_RANGES
+from stem_match.classifier import EMOJI_RANGES, N_BINS
 from stem_match.labeling import COLLEGE, NON_COLLEGE, UNLABELED, WeakLabel
 from stem_match.similarity import combined_score
 
@@ -114,6 +115,12 @@ def label_student(record, rules) -> WeakLabel:
     if non_college_hits:
         return WeakLabel(NON_COLLEGE, non_college_hits)
     return WeakLabel(UNLABELED)
+
+
+def decision_score(model, features) -> float:
+    """``w·x + b`` of one feature vector, summed term by term in Python."""
+    row = [getattr(features, name) / (N_BINS - 1) for name in model.active_features]
+    return float(sum(w * x for w, x in zip(model.weights, row)) + model.bias)
 
 
 def _place(text: str) -> str:

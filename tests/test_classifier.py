@@ -1,6 +1,7 @@
 """Tweet features and the max-margin college classifier."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from stem_match.classifier import (
     contains_hahalol,
     contains_hashtag,
     cross_validate,
-    decision_score,
     extract_features,
     infer,
     is_retweet,
@@ -212,29 +212,37 @@ def test_train_is_deterministic():
 
 
 def test_infer_is_duplication_invariant():
-    # full-batch updates depend on the mean subgradient, so duplicating the
-    # corpus leaves every prediction unchanged (weights agree up to float
-    # summation order)
+    # training weights each distinct example by its share count / n, which
+    # duplicating the corpus leaves exactly as it was, so every weight and
+    # prediction is unchanged
     features, labels = separable_data()
     once = train(features, labels)
     twice = train(features + features, labels + labels)
-    for w1, w2 in zip(once.weights, twice.weights):
-        assert w1 == pytest.approx(w2, abs=1e-9)
-    assert once.bias == pytest.approx(twice.bias, abs=1e-9)
+    assert (once.weights, once.bias) == (twice.weights, twice.bias)
     probes = [vector(emoji=e, hahalol=h) for e in range(10) for h in range(10)]
-    assert [infer(once, p) for p in probes] == [infer(twice, p) for p in probes]
+    assert infer(once, probes) == infer(twice, probes)
 
 
 def test_train_separates_separable_data():
     features, labels = separable_data()
     model = train(features, labels)
-    assert all(infer(model, f) == label for f, label in zip(features, labels))
+    assert infer(model, features) == labels
+
+
+def test_infer_of_no_vectors_is_empty():
+    assert infer(train(*separable_data()), []) == []
 
 
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_train_config_needs_at_least_one_epoch(epochs):
     with pytest.raises(ClassifierError, match="epochs"):
         TrainConfig(epochs=epochs)
+
+
+@pytest.mark.parametrize("lam", [0, 0.0, -1.0, math.nan, math.inf])
+def test_train_config_needs_a_finite_positive_lam(lam):
+    with pytest.raises(ClassifierError, match="^lam must be a finite number > 0"):
+        TrainConfig(lam=lam)
 
 
 def test_train_needs_two_examples_per_class():
@@ -252,16 +260,18 @@ def test_infer_boundary_score_goes_to_college():
     features, labels = separable_data()
     model = train(features, labels)
     probe = vector(emoji=5, hahalol=5)
-    score = decision_score(model, probe)
-    assert infer(model, probe) == (COLLEGE if score >= 0 else NON_COLLEGE)
+    score = oracles.decision_score(model, probe)
+    assert infer(model, [probe]) == [COLLEGE if score >= 0 else NON_COLLEGE]
+    zero = dataclasses.replace(model, weights=(0.0, 0.0, 0.0), bias=0.0)
+    assert infer(zero, [probe]) == [COLLEGE]
 
 
 def test_model_arity_mismatch_is_an_error():
     features, labels = separable_data()
     with_rt = [vector(f.emoji_bin, f.hashtag_bin, f.hahalol_bin, retweet=3) for f in features]
     model = train(with_rt, labels, TrainConfig(with_retweet=True))
-    with pytest.raises(ClassifierError):
-        decision_score(model, vector(emoji=5))  # vector lacks retweet_bin
+    with pytest.raises(ClassifierError, match="retweet_bin missing"):
+        infer(model, [with_rt[0], vector(emoji=5)])  # the second vector lacks retweet_bin
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +328,27 @@ def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
     with pytest.raises(ClassifierError) as err:
         load_model(path)
     assert str(err.value).startswith(f"{path} line 3: ")
+
+
+# Each line replaces the line that sets the same field.
+@pytest.mark.parametrize("line_no, bad_line, message", [
+    (2, "feature emoji_bin nan", "emoji_bin must be a finite number, got nan"),
+    (5, "bias inf", "bias must be a finite number, got inf"),
+    (6, "lambda -1", "lam must be a finite number > 0, got -1.0"),
+    (8, "epochs -3", "epochs must be at least 1, got -3"),
+    (9, "cv_accuracy 7.5", "cv_accuracy must be null or within [0, 1], got 7.5"),
+])
+def test_load_model_rejects_a_value_no_model_can_hold_naming_file_and_line(
+        tmp_path, line_no, bad_line, message):
+    path = tmp_path / "model.txt"
+    save_model(dataclasses.replace(train(*separable_data()), cv_accuracy=0.5), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[line_no - 1].split()[:-1] == bad_line.split()[:-1]
+    lines[line_no - 1] = bad_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ClassifierError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path} line {line_no}: {message}"
 
 
 @pytest.mark.parametrize("extra_line, message", [

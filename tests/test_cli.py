@@ -286,6 +286,23 @@ def test_classify_with_zero_epochs_is_a_clean_error(corpus, tmp_path, capsys):
     assert not (tmp_path / "predicted.jsonl").exists()
 
 
+@pytest.mark.parametrize("lam", ["0", "-1", "nan", "inf"])
+def test_classify_with_a_lam_that_is_not_a_finite_positive_number_is_a_clean_error(
+        corpus, tmp_path, capsys, lam):
+    assert main(["label", "--students", str(corpus / "students.jsonl"),
+                 "--out", str(tmp_path / "labels.jsonl")]) == 0
+    capsys.readouterr()
+    code = main(["classify", "--train", str(tmp_path / "labels.jsonl"),
+                 "--students", str(corpus / "students.jsonl"),
+                 "--model-out", str(tmp_path / "model.txt"),
+                 "--out", str(tmp_path / "predicted.jsonl"), "--lam", lam])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: lam must be a finite number > 0, got {float(lam)!r}"]
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "predicted.jsonl").exists()
+
+
 @pytest.mark.parametrize("bad_file, bad_line", [
     pytest.param("annotations", "{broken", id="{broken"),
     pytest.param("annotations", "[1, 2]", id="[1, 2]"),

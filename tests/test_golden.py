@@ -9,9 +9,9 @@ default configuration, and every file of the inputs and of ``out_dir`` must
 hash to its digest in ``tests/golden.json``; so must a second run into the
 same ``out_dir``.
 
-``model.txt`` is left out: its last digits follow the OpenBLAS kernel numpy
-selects for the host CPU, so its bytes are not yet the same on every host
-(ROADMAP item 17).  Every other artifact, each page included, is pinned.
+Every artifact is pinned, ``model.txt`` and each page included.  Training
+calls no BLAS kernel, so the model's bytes do not depend on the host CPU;
+one more test checks that under two OpenBLAS kernels.
 
 A change meant to alter bytes regenerates the digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists the changed files.
@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import stem_match
 from stem_match.pipeline import PipelineConfig, run_pipeline
 from stem_match.synthetic import DEFAULT_INTEREST_VOCABULARY, SynthConfig, generate_synthetic
 
 GOLDEN = Path(__file__).with_name("golden.json")
-UNPINNED = {"out/model.txt"}
 
 FUZZY_VOCABULARY = tuple(word for tag in DEFAULT_INTEREST_VOCABULARY
                          for word in (tag, tag + "s", tag[:-1]))
@@ -44,11 +46,10 @@ SHAPES = {
 
 
 def digests(root: Path) -> dict[str, str]:
-    """sha256 of every pinned file under ``root``, by POSIX path relative to it."""
+    """sha256 of every file under ``root``, by POSIX path relative to it."""
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(root.rglob("*"))
-        if path.is_file() and path.relative_to(root).as_posix() not in UNPINNED
+        for path in sorted(root.rglob("*")) if path.is_file()
     }
 
 
@@ -74,6 +75,27 @@ def test_every_input_and_artifact_matches_its_golden_digest(tmp_path, name):
     run_pipeline(config)
     changed = differing(want, digests(tmp_path))
     assert not changed, f"{name}: a rerun into the same out_dir changed files: {changed}"
+
+
+def test_the_model_is_the_same_bytes_under_two_openblas_kernels(tmp_path):
+    """Run the ``cohort-heavy`` shape in two processes, one with OpenBLAS's
+    ``SkylakeX`` kernel and one with ``Prescott``, and compare ``model.txt``.
+
+    ``OPENBLAS_CORETYPE`` overrides the kernel that an OpenBLAS built for
+    several CPUs picks at import.  Where numpy's BLAS does not read the
+    variable, both runs use the same kernel and the test passes trivially.
+    """
+    source_dirs = [str(Path(stem_match.__file__).parents[1]), str(Path(__file__).parent)]
+    script = ("import pathlib, sys, test_golden; "
+              "test_golden.run_shape('cohort-heavy', pathlib.Path(sys.argv[1]))")
+    models = {}
+    for kernel in ("SkylakeX", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join(source_dirs + [os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / kernel)], env=env,
+                       check=True, timeout=300)
+        models[kernel] = (tmp_path / kernel / "out" / "model.txt").read_bytes()
+    assert models["SkylakeX"] == models["Prescott"]
 
 
 if __name__ == "__main__":

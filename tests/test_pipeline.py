@@ -216,7 +216,8 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     ("lam", "0.1"), ("fuzzy_threshold", False), ("with_retweet", "no"), ("with_retweet", 0),
     ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
     ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
-    ("fuzzy_threshold", 1.5), ("lam", 0), ("seed", -1), ("epochs", -3), ("epochs", 0),
+    ("fuzzy_threshold", 1.5), ("lam", 0), ("lam", float("inf")), ("seed", -1), ("epochs", -3),
+    ("epochs", 0),
 ])
 def test_config_rejects_values_of_the_wrong_type(key, value):
     data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}

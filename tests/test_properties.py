@@ -1,4 +1,6 @@
-"""Property-based equivalence of ranking with the pairwise full-sort oracle."""
+"""Property-based equivalence of fast paths with their oracles: ranking with
+the pairwise full sort, and the classifier's batched decision with the
+per-example Python sum."""
 
 import pytest
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from stem_match import matching  # noqa: E402
+from stem_match import classifier, matching  # noqa: E402
 from stem_match.records import AttributeProfile  # noqa: E402
 
 # "robotics", "robotic", "robot" and "robots" fuzzy-match one another in
@@ -57,3 +59,26 @@ def test_match_corpus_equals_the_pairwise_full_sort(students, candidates, k, bud
     for (student_id, student), got in zip(students, results):
         want = oracles.full_sort_rank(student_id, student, candidates, k, 0.8)
         assert got.ranked == tuple(want), student_id
+
+
+bins = st.integers(0, classifier.N_BINS - 1)
+# Weights and biases from tiny to large, of either sign, and zero.
+reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), with_retweet=st.booleans(), n=st.integers(0, 12))
+def test_batched_decision_equals_the_per_example_python_sum(data, with_retweet, n):
+    active = classifier.TrainConfig(with_retweet=with_retweet).active_features()
+    model = classifier.ClassifierModel(
+        weights=tuple(data.draw(reals) for _ in active), bias=data.draw(reals),
+        active_features=active, seed=0, epochs=1, lam=0.01)
+    vectors = [
+        classifier.FeatureVector(data.draw(bins), data.draw(bins), data.draw(bins),
+                                 data.draw(bins) if with_retweet else None, (0.0,) * 4)
+        for _ in range(n)
+    ]
+    want = [oracles.decision_score(model, vector) for vector in vectors]
+    assert classifier._scores(model, vectors).tolist() == want
+    assert classifier.infer(model, vectors) == [
+        classifier.COLLEGE if score >= 0.0 else classifier.NON_COLLEGE for score in want]

@@ -146,6 +146,21 @@ def test_taxonomy_lookup_is_case_and_whitespace_insensitive():
     assert TAXONOMY.group_of("underwater basket weaving") is None
 
 
+def test_load_taxonomy_keeps_each_industry_as_the_file_spells_it_in_file_order(tmp_path):
+    path = tmp_path / "taxonomy.jsonl"
+    path.write_text(
+        '{"industry": "Zoology  Labs", "group": "STEM"}\n'
+        '{"industry": "Bakeries", "group": "non-STEM"}\n'
+        '{"industry": "AEROSPACE", "group": "STEM"}\n',
+        encoding="utf-8",
+    )
+    taxonomy = load_taxonomy(path)
+    assert taxonomy.industries(GROUP_STEM) == ("Zoology  Labs", "AEROSPACE")
+    assert taxonomy.industries(GROUP_NON_STEM) == ("Bakeries",)
+    assert taxonomy.industries(GROUP_RELATED) == ()
+    assert taxonomy.group_of("zoology labs") == GROUP_STEM
+
+
 def test_load_taxonomy_rejects_duplicates_and_bad_groups(tmp_path):
     path = tmp_path / "taxonomy.jsonl"
     path.write_text(
