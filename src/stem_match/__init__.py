@@ -9,18 +9,6 @@ per student.  A seeded synthetic generator supports desk-scale runs.
 
 Names are imported from the modules, e.g.
 ``from stem_match.pipeline import PipelineConfig, run_pipeline``;
-importing the package loads every layer module.
+importing the package itself loads no module, so each caller pays only
+for the modules it imports.
 """
-
-from . import (  # noqa: F401
-    attributes,
-    classifier,
-    labeling,
-    matching,
-    pages,
-    pipeline,
-    records,
-    rolemodels,
-    similarity,
-    synthetic,
-)

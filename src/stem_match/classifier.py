@@ -108,13 +108,20 @@ def extract_features(record: StudentRecord, with_retweet: bool = False) -> Featu
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 _FINITE = (math.isfinite, "a finite number")
 # Model field -> (accepts(value), what it must be).  A field without a rule
 # of its own, such as a feature's weight, must be finite.  ``TrainConfig``,
-# ``ClassifierModel`` and ``load_model`` all check through ``_check``.
+# ``ClassifierModel`` and ``load_model`` all check through ``_check``, and
+# ``PipelineConfig`` takes its training keys' rules from here.
 _RULES = {
-    "lam": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-    "epochs": (lambda v: v >= 1, "at least 1"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "lam": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0,
+            "a finite number > 0"),
     "cv_accuracy": (lambda v: v is None or 0.0 <= v <= 1.0, "null or within [0, 1]"),
 }
 
@@ -133,8 +140,8 @@ class TrainConfig:
     with_retweet: bool = False
 
     def __post_init__(self) -> None:
-        _check("epochs", self.epochs)
-        _check("lam", self.lam)
+        for name in ("seed", "epochs", "lam"):
+            _check(name, getattr(self, name))
 
     def active_features(self) -> tuple[str, ...]:
         if self.with_retweet:
@@ -160,7 +167,7 @@ class ClassifierModel:
             raise ClassifierError("one weight per active feature expected")
         for name, weight in zip(self.active_features, self.weights):
             _check(name, weight)
-        for name in ("bias", "epochs", "lam", "cv_accuracy"):
+        for name in ("bias", "seed", "epochs", "lam", "cv_accuracy"):
             _check(name, getattr(self, name))
 
 

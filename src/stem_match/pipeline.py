@@ -16,7 +16,6 @@ stages, or the CLI's stage subcommands, on the files of an earlier run.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -29,6 +28,7 @@ from . import labeling
 from . import matching
 from . import pages as pages_mod
 from . import rolemodels
+from .classifier import _is_int
 from .matching import GroundTruthAnnotation, MatchResult
 from .records import (AttributeProfile, CandidateRecord, LoadResult, RecordError,
                       StudentRecord, load_candidates, load_students, read_jsonl, write_atomic,
@@ -53,24 +53,19 @@ _PATH = (lambda v: isinstance(v, (str, os.PathLike)), "a path")
 _OPTIONAL_PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike)), "a path or null")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # Config key -> (accepts(value), what it must be), checked by ``__post_init__``.
 _CONFIG_KEYS = {
     **dict.fromkeys(("students", "candidates", "out_dir"), _PATH),
     **dict.fromkeys(("annotations", "rules", "taxonomy", "majors"), _OPTIONAL_PATH),
     "survey_url": _OPTIONAL_STR,
     "profile_url_template": _STR,
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "seed": clf._RULES["seed"],
+    "epochs": clf._RULES["epochs"],
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "cv_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "fuzzy_threshold": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
                         "a number within [0, 1]"),
-    "lam": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0,
-            "a finite number > 0"),
+    "lam": clf._RULES["lam"],
     "with_retweet": (lambda v: isinstance(v, bool), "true or false"),
     "top10_cities": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v),
                      "a list of strings"),

@@ -233,16 +233,23 @@ def test_infer_of_no_vectors_is_empty():
     assert infer(train(*separable_data()), []) == []
 
 
-@pytest.mark.parametrize("epochs", [0, -3])
+@pytest.mark.parametrize("epochs", [0, -3, 2.5, True])
 def test_train_config_needs_at_least_one_epoch(epochs):
-    with pytest.raises(ClassifierError, match="epochs"):
+    with pytest.raises(ClassifierError, match="^epochs must be an integer >= 1"):
         TrainConfig(epochs=epochs)
 
 
-@pytest.mark.parametrize("lam", [0, 0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("lam", [0, 0.0, -1.0, math.nan, math.inf, True, "0.1"])
 def test_train_config_needs_a_finite_positive_lam(lam):
     with pytest.raises(ClassifierError, match="^lam must be a finite number > 0"):
         TrainConfig(lam=lam)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0])
+def test_train_config_needs_an_integer_seed_of_at_least_zero(seed):
+    with pytest.raises(ClassifierError) as err:
+        TrainConfig(seed=seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
 
 
 def test_train_needs_two_examples_per_class():
@@ -335,7 +342,8 @@ def test_load_model_names_the_file_and_line_of_a_bad_line(tmp_path, bad_line):
     (2, "feature emoji_bin nan", "emoji_bin must be a finite number, got nan"),
     (5, "bias inf", "bias must be a finite number, got inf"),
     (6, "lambda -1", "lam must be a finite number > 0, got -1.0"),
-    (8, "epochs -3", "epochs must be at least 1, got -3"),
+    (7, "seed -1", "seed must be an integer >= 0, got -1"),
+    (8, "epochs -3", "epochs must be an integer >= 1, got -3"),
     (9, "cv_accuracy 7.5", "cv_accuracy must be null or within [0, 1], got 7.5"),
 ])
 def test_load_model_rejects_a_value_no_model_can_hold_naming_file_and_line(
@@ -349,6 +357,14 @@ def test_load_model_rejects_a_value_no_model_can_hold_naming_file_and_line(
     with pytest.raises(ClassifierError) as err:
         load_model(path)
     assert str(err.value) == f"{path} line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("field", ["epochs", "seed", "lam"])
+def test_no_model_holds_a_bool_its_file_could_not_read_back(field):
+    # save_model would write True as "True", which load_model's int() and
+    # float() reject; TrainConfig rejects it too, so train cannot make one.
+    with pytest.raises(ClassifierError, match=f"^{field} must be "):
+        dataclasses.replace(train(*separable_data()), **{field: True})
 
 
 @pytest.mark.parametrize("extra_line, message", [

@@ -303,6 +303,20 @@ def test_classify_with_a_lam_that_is_not_a_finite_positive_number_is_a_clean_err
     assert not (tmp_path / "predicted.jsonl").exists()
 
 
+def test_classify_with_a_negative_seed_is_a_clean_error(corpus, tmp_path, capsys):
+    assert main(["label", "--students", str(corpus / "students.jsonl"),
+                 "--out", str(tmp_path / "labels.jsonl")]) == 0
+    capsys.readouterr()
+    code = main(["classify", "--train", str(tmp_path / "labels.jsonl"),
+                 "--students", str(corpus / "students.jsonl"),
+                 "--model-out", str(tmp_path / "model.txt"),
+                 "--out", str(tmp_path / "predicted.jsonl"), "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be an integer >= 0, got -1"]
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "predicted.jsonl").exists()
+
+
 @pytest.mark.parametrize("bad_file, bad_line", [
     pytest.param("annotations", "{broken", id="{broken"),
     pytest.param("annotations", "[1, 2]", id="[1, 2]"),

@@ -1,4 +1,8 @@
-"""What ``import stem_match`` promises: it loads every layer module."""
+"""What importing the package loads: the root nothing, each module what it imports.
+
+Each test runs a fresh interpreter, so that modules imported by other tests
+cannot stand in for the ones the code under test must import itself.
+"""
 
 import ast
 import json
@@ -10,26 +14,42 @@ from pathlib import Path
 import stem_match
 
 PACKAGE_PARENT = Path(stem_match.__file__).resolve().parent.parent
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing_layers() -> tuple[str, ...]:
-    """The ``LAYERS`` tuple the benchmark tracer wraps after ``import stem_match``."""
-    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+def _module_constant(path: Path, name: str):
+    """The literal value a module assigns to ``name`` at top level."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS in {TRACING}")
+    raise AssertionError(f"no {name} in {path}")
 
 
-def test_importing_the_package_loads_the_pipeline_and_every_traced_layer():
-    # A fresh interpreter, so that modules imported by other tests cannot
-    # stand in for the ones the package root must import itself.
-    code = ("import json, sys, stem_match; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stem_match.'))))")
+def _loaded_after(code: str) -> set[str]:
+    """The ``stem_match`` submodules and ``numpy`` loaded once ``code`` has run."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.startswith('stem_match.') or m == 'numpy')))\n")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    wanted = {f"stem_match.{name}" for name in ("pipeline", *_tracing_layers())}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_after("import stem_match") == set()
+
+
+def test_importing_the_pipeline_loads_every_traced_layer():
+    # perfbench/tracing.py imports stem_match.pipeline and then wraps the
+    # functions of every module in its LAYERS.
+    layers = _module_constant(PERFBENCH / "tracing.py", "LAYERS")
+    wanted = {f"stem_match.{name}" for name in ("pipeline", *layers)}
+    loaded = _loaded_after("import stem_match.pipeline")
     assert wanted <= loaded, sorted(wanted - loaded)
+
+
+def test_benchmark_set_up_loads_only_records_labeling_and_rolemodels():
+    loaded = _loaded_after(_module_constant(PERFBENCH / "run.py", "SETUP_CODE"))
+    assert loaded == {"stem_match.records", "stem_match.labeling", "stem_match.rolemodels"}
