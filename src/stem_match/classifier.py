@@ -21,7 +21,7 @@ import numpy as np
 
 from .attributes import _HASHTAG
 from .labeling import COLLEGE, NON_COLLEGE
-from .records import StudentRecord, write_atomic
+from .records import StudentRecord, _is_int, write_atomic
 
 # Unicode blocks counted as emoji: Miscellaneous Symbols and Pictographs,
 # Emoticons, Transport and Map Symbols, Supplemental Symbols and Pictographs.
@@ -106,10 +106,6 @@ def extract_features(record: StudentRecord, with_retweet: bool = False) -> Featu
 # ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 _FINITE = (math.isfinite, "a finite number")

@@ -52,8 +52,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     taxonomy, majors = pipeline_mod.load_taxonomy_and_majors(args.taxonomy, args.majors)
-    candidates = _records(load_candidates(args.candidates, industries=taxonomy.groups),
-                          args.candidates)
+    candidates = _records(load_candidates(args.candidates), args.candidates)
     result = pipeline_mod.identify(candidates, taxonomy, majors, args.out)
     print(f"kept {len(result.role_models)} of {len(candidates)} candidates: {result.counts}")
     return 0

@@ -28,11 +28,10 @@ from . import labeling
 from . import matching
 from . import pages as pages_mod
 from . import rolemodels
-from .classifier import _is_int
 from .matching import GroundTruthAnnotation, MatchResult
 from .records import (AttributeProfile, CandidateRecord, LoadResult, RecordError,
-                      StudentRecord, load_candidates, load_students, read_jsonl, write_atomic,
-                      write_jsonl)
+                      StudentRecord, _is_int, load_candidates, load_students, read_jsonl,
+                      write_atomic, write_jsonl)
 
 STAGES = ("label", "classify", "identify", "attributes", "rank", "report", "pages")
 
@@ -47,18 +46,37 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-_STR = (lambda v: isinstance(v, str), "a string")
-_OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
 _PATH = (lambda v: isinstance(v, (str, os.PathLike)), "a path")
 _OPTIONAL_PATH = (lambda v: v is None or isinstance(v, (str, os.PathLike)), "a path or null")
+
+
+def _is_url(v) -> bool:
+    """Whether the pages stage takes ``v`` as a link."""
+    try:
+        pages_mod._check_url(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_url_template(v) -> bool:
+    """Whether ``v`` makes a link the pages stage takes of a role model's id."""
+    try:
+        url = v.format(id="c1")
+    except (AttributeError, LookupError, TypeError, ValueError):
+        return False
+    return _is_url(url)
 
 
 # Config key -> (accepts(value), what it must be), checked by ``__post_init__``.
 _CONFIG_KEYS = {
     **dict.fromkeys(("students", "candidates", "out_dir"), _PATH),
     **dict.fromkeys(("annotations", "rules", "taxonomy", "majors"), _OPTIONAL_PATH),
-    "survey_url": _OPTIONAL_STR,
-    "profile_url_template": _STR,
+    # An empty survey_url, like null, means the pages carry no survey link.
+    "survey_url": (lambda v: v is None or v == "" or isinstance(v, str) and _is_url(v),
+                   "null or an http(s) URL"),
+    "profile_url_template": (lambda v: isinstance(v, str) and _is_url_template(v),
+                             "a template whose .format(id=...) is an http(s) URL"),
     "seed": clf._RULES["seed"],
     "epochs": clf._RULES["epochs"],
     "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
@@ -379,7 +397,7 @@ def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: di
 
 def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     taxonomy, majors = load_taxonomy_and_majors(config.taxonomy, config.majors)
-    loaded = load_candidates(config.candidates, industries=taxonomy.groups)
+    loaded = load_candidates(config.candidates)
     result = identify(_checked(loaded, "candidate", config.candidates), taxonomy, majors,
                       paths["rolemodels"])
     state["rolemodels"] = result.role_models

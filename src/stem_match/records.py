@@ -14,6 +14,9 @@ objects (and the same tuple of them), and a candidate's industry, location,
 major, interest and skill strings are one object per distinct value.  The
 sharing table is a plain dict that lives for one load call, so two loads
 share nothing.
+
+This module imports no other module of the package: whether a candidate's
+industry is known is decided by the role-model filter in ``rolemodels``.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ DATA_DIR = Path(__file__).with_name("data")
 
 class RecordError(ValueError):
     """Raised when a record violates one of its invariants."""
-
-
-def _norm_key(text: str) -> str:
-    """Case/whitespace-insensitive key used for vocabulary lookups."""
-    return _WS_RUN.sub(" ", text.strip()).casefold()
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +152,8 @@ class StudentRecord:
 class CandidateRecord:
     """One role-model-candidate LinkedIn profile.
 
-    ``unknown_industry`` is set at load time when the industry string is
-    not found in the industry taxonomy; such records are kept but can never
-    qualify as role models.
+    The industry is kept as written; whether it is in the industry taxonomy
+    is the role-model filter's to decide.
     """
 
     id: str
@@ -167,7 +164,6 @@ class CandidateRecord:
     skills_raw: tuple[str, ...] = ()
     location_raw: str = ""
     predictor_outputs: tuple[PredictorOutput, ...] = ()
-    unknown_industry: bool = False
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -185,40 +181,27 @@ class CandidateRecord:
             "skills_raw": list(self.skills_raw),
             "location_raw": self.location_raw,
             "predictor_outputs": [p.to_dict() for p in self.predictor_outputs],
-            "unknown_industry": self.unknown_industry,
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping, industries: frozenset[str] | None = None,
-                  shared: dict | None = None) -> "CandidateRecord":
+    def from_dict(cls, data: Mapping, shared: dict | None = None) -> "CandidateRecord":
         """Build a candidate from a parsed JSON object.
 
-        ``industries`` is a set of normalized industry names; when given,
-        the unknown-industry flag is recomputed against it, otherwise the
-        flag in the data is kept, and it must be a boolean when present.
         ``shared`` is the sharing table of one load (see the module
         docstring); equal predictor outputs and small-vocabulary strings
         found in it are reused.
         """
         if shared is None:
             shared = {}
-        industry = _shared_str(data, "industry", shared)
-        if industries is not None:
-            unknown = _norm_key(industry) not in industries
-        else:
-            unknown = data.get("unknown_industry", False)
-            if not isinstance(unknown, bool):
-                raise RecordError(f"field 'unknown_industry' must be a boolean, got {unknown!r}")
         return cls(
             id=_require_str(data, "id"),
             full_name=_optional_str(data, "full_name"),
-            industry=industry,
+            industry=_shared_str(data, "industry", shared),
             education_majors=_shared_strs(data, "education_majors", shared),
             interests_raw=_shared_strs(data, "interests_raw", shared),
             skills_raw=_shared_strs(data, "skills_raw", shared),
             location_raw=_shared_str(data, "location_raw", shared),
             predictor_outputs=_outputs(data, shared),
-            unknown_industry=unknown,
         )
 
 
@@ -276,6 +259,11 @@ class AttributeProfile:
 # ---------------------------------------------------------------------------
 # Field coercion helpers
 # ---------------------------------------------------------------------------
+
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, and not a bool, which Python counts as one."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require_str(data: Mapping, key: str) -> str:
@@ -438,21 +426,17 @@ def load_students(path: str | Path) -> LoadResult:
     return LoadResult(_read_rows(path, build, attrgetter("id"), errors), errors)
 
 
-def load_candidates(path: str | Path, industries: Iterable[str] | None = None) -> LoadResult:
+def load_candidates(path: str | Path) -> LoadResult:
     """Load candidates from a JSON Lines file.
 
-    ``industries`` is the set of known industry names (the bundled
-    taxonomy by default).  A candidate whose industry is not in the set is
-    kept but flagged ``unknown_industry``; that is a data-quality signal,
-    not an error.
+    Like ``load_students``: rejected lines are listed in ``errors`` and
+    duplicate ids keep the first occurrence.  A candidate whose industry
+    is not in the taxonomy loads like any other; the role-model filter
+    gives it the reason ``unknown-industry``.
     """
-    if industries is None:
-        from .rolemodels import default_taxonomy  # rolemodels imports this module
-        industries = default_taxonomy().groups
-    vocabulary = frozenset(_norm_key(name) for name in industries)
     shared: dict = {}
     errors: list[LoadError] = []
-    build = partial(CandidateRecord.from_dict, industries=vocabulary, shared=shared)
+    build = partial(CandidateRecord.from_dict, shared=shared)
     return LoadResult(_read_rows(path, build, attrgetter("id"), errors), errors)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import DATA_DIR, CandidateRecord, _norm_key, read_jsonl
+from .records import _WS_RUN, DATA_DIR, CandidateRecord, read_jsonl
 
 GROUP_STEM = "STEM"
 GROUP_RELATED = "STEM-related"
@@ -37,6 +37,11 @@ REASONS = (
 
 class TaxonomyError(ValueError):
     """Raised for malformed taxonomy or major-list files."""
+
+
+def _norm_key(text: str) -> str:
+    """Case/whitespace-insensitive key used for vocabulary lookups."""
+    return _WS_RUN.sub(" ", text.strip()).casefold()
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ never from the annotations.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -25,6 +26,7 @@ from .records import (
     CandidateRecord,
     PredictorOutput,
     StudentRecord,
+    _is_int,
     write_jsonl,
 )
 from .rolemodels import (GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, GROUPS, default_majors,
@@ -148,27 +150,59 @@ class SynthError(ValueError):
     """Raised for invalid generator configuration."""
 
 
-def _check_fraction(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SynthError(f"{name} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise SynthError(f"{name} must be in [0, 1], got {value!r}")
-    return float(value)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _check_marginals(name: str, marginals: Mapping[str, float], allowed: tuple[str, ...]) -> dict[str, float]:
-    if not marginals:
-        raise SynthError(f"{name} must not be empty")
-    out = {}
-    for key, weight in marginals.items():
-        if key not in allowed:
-            raise SynthError(f"{name} has unknown value {key!r} (allowed: {allowed})")
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
-            raise SynthError(f"{name}[{key!r}] must be a nonnegative number")
-        out[key] = float(weight)
-    if sum(out.values()) <= 0:
-        raise SynthError(f"{name} weights must sum to a positive value")
-    return out
+def _is_fraction(v) -> bool:
+    return _is_number(v) and 0.0 <= v <= 1.0
+
+
+def _is_weight(v) -> bool:
+    return _is_number(v) and math.isfinite(v) and v >= 0
+
+
+def _is_city(entry) -> bool:
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and all(isinstance(part, str) and part for part in entry[:2])
+            and _is_weight(entry[2]) and entry[2] > 0)
+
+
+def _marginals(allowed: tuple[str, ...]) -> tuple:
+    """The rule of a key that maps values of ``allowed`` to sampling weights."""
+
+    def accepts(v) -> bool:
+        return (isinstance(v, Mapping)
+                and all(key in allowed and _is_weight(weight) for key, weight in v.items())
+                and sum(v.values()) > 0)
+
+    return accepts, (f"an object mapping some of {', '.join(allowed)} to finite weights >= 0 "
+                     "with a positive sum")
+
+
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+
+# Config key -> (accepts(value), what it must be), checked by ``__post_init__``
+# in this order.
+_CONFIG_KEYS = {
+    "seed": (_is_int, "an integer"),
+    "n_students": _COUNT,
+    "n_candidates": _COUNT,
+    "cities": (lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(_is_city, v)),
+               "a nonempty list of [city, state, weight] with a finite weight > 0"),
+    "gender_marginals": _marginals(GENDER_VALUES),
+    "race_marginals": _marginals(RACE_VALUES),
+    "interest_vocabulary": (lambda v: isinstance(v, (list, tuple)) and bool(v)
+                            and all(isinstance(tag, str) for tag in v),
+                            "a nonempty list of strings"),
+    "min_interests": _COUNT,
+    "max_interests": _COUNT,
+    "planted_fraction": (_is_fraction, "a number within [0, 1]"),
+    "missingness": (lambda v: isinstance(v, Mapping) and all(
+        key in DEFAULT_MISSINGNESS and _is_fraction(rate) for key, rate in v.items()),
+        f"an object mapping some of {', '.join(DEFAULT_MISSINGNESS)} to numbers within [0, 1]"),
+    "label_mix": _marginals(tuple(DEFAULT_LABEL_MIX)),
+}
 
 
 @dataclass(frozen=True)
@@ -189,28 +223,16 @@ class SynthConfig:
     label_mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_LABEL_MIX))
 
     def __post_init__(self) -> None:
-        if self.n_students < 0 or self.n_candidates < 0:
-            raise SynthError("population sizes must be nonnegative")
-        if not self.cities:
-            raise SynthError("city list must not be empty")
-        for entry in self.cities:
-            city, state, weight = entry
-            if not city or not state or weight <= 0:
-                raise SynthError(f"bad city entry {entry!r}")
-        if not self.interest_vocabulary:
-            raise SynthError("interest vocabulary must not be empty")
-        if not 0 <= self.min_interests <= self.max_interests:
-            raise SynthError("need 0 <= min_interests <= max_interests")
+        for key, (accepts, what) in _CONFIG_KEYS.items():
+            value = getattr(self, key)
+            if not accepts(value):
+                raise SynthError(f"synth config key {key!r} must be {what}, got {value!r}")
+        object.__setattr__(self, "cities", tuple((c, s, float(w)) for c, s, w in self.cities))
+        object.__setattr__(self, "interest_vocabulary", tuple(self.interest_vocabulary))
+        if self.min_interests > self.max_interests:
+            raise SynthError("need min_interests <= max_interests")
         if self.max_interests > len(self.interest_vocabulary):
             raise SynthError("max_interests exceeds vocabulary size")
-        _check_fraction("planted_fraction", self.planted_fraction)
-        _check_marginals("gender_marginals", self.gender_marginals, GENDER_VALUES)
-        _check_marginals("race_marginals", self.race_marginals, RACE_VALUES)
-        for attribute, rate in self.missingness.items():
-            if attribute not in DEFAULT_MISSINGNESS:
-                raise SynthError(f"unknown missingness attribute {attribute!r}")
-            _check_fraction(f"missingness[{attribute!r}]", rate)
-        _check_marginals("label_mix", dict(self.label_mix), tuple(DEFAULT_LABEL_MIX))
         if round(self.planted_fraction * self.n_students) > self.n_candidates:
             raise SynthError("more planted matches requested than candidates available")
 
@@ -218,21 +240,10 @@ class SynthConfig:
     def from_dict(cls, data: Mapping) -> "SynthConfig":
         if not isinstance(data, Mapping):
             raise SynthError("synth config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise SynthError(f"unknown synth config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in known:
-            if key not in data:
-                continue
-            value = data[key]
-            if key == "cities":
-                value = tuple((c, s, float(w)) for c, s, w in value)
-            elif key == "interest_vocabulary":
-                value = tuple(value)
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**data)
 
     def missing_rate(self, attribute: str) -> float:
         return float(self.missingness.get(attribute, 0.0))
@@ -427,7 +438,6 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
             predictor_outputs=_predictor_outputs(
                 None if miss_gender else gender, None if miss_race else race
             ),
-            unknown_industry=taxonomy.group_of(industry) is None,
         )
         candidates.append(record)
         candidate_rows.append(

@@ -317,6 +317,15 @@ def test_classify_with_a_negative_seed_is_a_clean_error(corpus, tmp_path, capsys
     assert not (tmp_path / "predicted.jsonl").exists()
 
 
+def test_synth_with_a_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_students": "10"}), encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: synth config key 'n_students' must be an integer >= 0, got '10'"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad_file, bad_line", [
     pytest.param("annotations", "{broken", id="{broken"),
     pytest.param("annotations", "[1, 2]", id="[1, 2]"),

@@ -53,3 +53,14 @@ def test_importing_the_pipeline_loads_every_traced_layer():
 def test_benchmark_set_up_loads_only_records_labeling_and_rolemodels():
     loaded = _loaded_after(_module_constant(PERFBENCH / "run.py", "SETUP_CODE"))
     assert loaded == {"stem_match.records", "stem_match.labeling", "stem_match.rolemodels"}
+
+
+def test_loading_candidates_loads_no_other_module(tmp_path):
+    # Whether an industry is known is the role-model filter's to decide;
+    # the reader of candidate rows needs no taxonomy.
+    path = tmp_path / "candidates.jsonl"
+    path.write_text(json.dumps({"id": "c1", "industry": "Basket Weaving",
+                                "location_raw": "Boston, MA"}) + "\n", encoding="utf-8")
+    code = ("from stem_match.records import load_candidates\n"
+            f"assert [r.id for r in load_candidates({str(path)!r})] == ['c1']")
+    assert _loaded_after(code) == {"stem_match.records"}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from stem_match import pipeline
+from stem_match.cli import main
 from stem_match.pages import PROFILE_URL_TEMPLATE
 from stem_match.pipeline import (
     PipelineConfig,
@@ -217,7 +218,9 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
     ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
     ("fuzzy_threshold", 1.5), ("lam", 0), ("lam", float("inf")), ("seed", -1), ("epochs", -3),
-    ("epochs", 0),
+    ("epochs", 0), ("survey_url", "ftp://example.org/s"), ("survey_url", "example.org/s"),
+    ("profile_url_template", "https://x.org/{name}"), ("profile_url_template", "https://x.org/{}"),
+    ("profile_url_template", "javascript:alert({id})"), ("profile_url_template", "https://x.org/{"),
 ])
 def test_config_rejects_values_of_the_wrong_type(key, value):
     data = {"students": "a", "candidates": "b", "out_dir": "c", key: value}
@@ -226,6 +229,31 @@ def test_config_rejects_values_of_the_wrong_type(key, value):
     # A config built in code is checked too, its paths included.
     with pytest.raises(ValueError, match=repr(key)):
         PipelineConfig(**data)
+
+
+@pytest.mark.parametrize("key, value", [("survey_url", "ftp://example.org/s"),
+                                        ("profile_url_template", "https://x.org/{name}")])
+def test_a_link_the_pages_stage_refuses_is_a_config_error_before_any_stage_runs(
+        tmp_path, corpus, key, value):
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({
+        "students": str(corpus["students"]), "candidates": str(corpus["candidates"]),
+        "out_dir": "out", key: value,
+    }), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        PipelineConfig.load(config_path)
+    assert str(err.value).startswith(f"pipeline config key {key!r} must be ")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_every_link_the_pages_stage_takes():
+    config = PipelineConfig(students="a", candidates="b", out_dir="c", survey_url="",
+                            profile_url_template="http://example.org/people?id={id}&ref=x")
+    assert config.survey_url == ""
+    for url in (None, "https://example.com/survey?a=1&b=2"):
+        assert PipelineConfig(students="a", candidates="b", out_dir="c",
+                              survey_url=url).survey_url == url
 
 
 def test_config_built_in_code_takes_string_paths(tmp_path, corpus):

@@ -12,9 +12,9 @@ from stem_match import records
 from stem_match.attributes import load_profiles
 from stem_match.labeling import default_rules, load_rules, read_labels
 from stem_match.matching import MatchError, load_annotations, load_matches
-from stem_match.pipeline import load_predicted, load_rolemodels
-from stem_match.rolemodels import (default_majors, default_taxonomy, load_majors,
-                                   load_taxonomy)
+from stem_match.pipeline import identify, load_predicted, load_rolemodels
+from stem_match.rolemodels import (REASON_UNKNOWN, default_majors, default_taxonomy,
+                                   load_majors, load_taxonomy)
 from stem_match.records import (
     DATA_DIR,
     MAX_TWEETS,
@@ -157,32 +157,9 @@ def test_candidate_requires_location():
         CandidateRecord(id="c1", location_raw="  ")
 
 
-def test_candidate_unknown_industry_recomputed_from_vocabulary():
-    row = candidate_row(industry="Basket Weaving")
-    record = CandidateRecord.from_dict(row, industries=frozenset({"biotechnology"}))
-    assert record.unknown_industry
-    record = CandidateRecord.from_dict(candidate_row(), industries=frozenset({"biotechnology"}))
-    assert not record.unknown_industry
-
-
 def test_candidate_round_trip():
-    record = CandidateRecord.from_dict(candidate_row(), industries=frozenset({"biotechnology"}))
+    record = CandidateRecord.from_dict(candidate_row())
     assert CandidateRecord.from_dict(record.to_dict()) == record
-
-
-def test_a_kept_unknown_industry_flag_must_be_a_json_boolean(tmp_path):
-    path = tmp_path / "rolemodels.jsonl"
-    flags = [candidate_row(id="t", unknown_industry=True),
-             candidate_row(id="f", unknown_industry=False), candidate_row(id="absent")]
-    write_jsonl(path, flags)
-    records, _ = load_rolemodels(path)
-    assert [r.unknown_industry for r in records] == [True, False, False]
-    for bad in ("false", 0, None):
-        write_jsonl(path, [candidate_row(), candidate_row(id="c2", unknown_industry=bad)])
-        with pytest.raises(RecordError) as err:
-            load_rolemodels(path)
-        assert str(err.value) == (
-            f"{path} line 2: field 'unknown_industry' must be a boolean, got {bad!r}")
 
 
 def test_a_kept_reason_must_be_a_string(tmp_path):
@@ -249,21 +226,35 @@ def test_load_students_missing_file_is_fatal(tmp_path):
         load_students(tmp_path / "nope.jsonl")
 
 
-def test_load_candidates_flags_unknown_industries(tmp_path):
-    path = tmp_path / "candidates.jsonl"
-    write_jsonl(path, [candidate_row(), candidate_row(id="c2", industry="Basket Weaving")])
-    result = load_candidates(path)
-    assert not result.errors
-    flags = {r.id: r.unknown_industry for r in result.records}
-    assert flags == {"c1": False, "c2": True}
+def test_an_old_unknown_industry_key_is_ignored_by_every_candidate_reader(tmp_path):
+    # Candidate and role-model files may carry an ``unknown_industry`` key; no
+    # reader uses it, since the role-model filter alone decides an unknown industry.
+    rows = [candidate_row(), candidate_row(id="c2", industry="Basket Weaving"),
+            candidate_row(id="c3", industry="Computer Software")]
+    plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+    write_jsonl(plain, rows)
+    write_jsonl(flagged, [{**row, "unknown_industry": flag}
+                          for row, flag in zip(rows, (True, False, "yes"))])
+    want = load_candidates(plain)
+    got = load_candidates(flagged)
+    assert not got.errors and got.records == want.records
+    taxonomy, majors = default_taxonomy(), default_majors()
+    outputs = {}
+    for name, loaded in (("plain", want), ("flagged", got)):
+        outputs[name] = tmp_path / f"{name}-rolemodels.jsonl"
+        result = identify(loaded.records, taxonomy, majors, outputs[name])
+        assert result.counts[REASON_UNKNOWN] == 1
+        assert [r.id for r in result.role_models] == ["c1", "c3"]
+    assert outputs["flagged"].read_bytes() == outputs["plain"].read_bytes()
+    assert b"unknown_industry" not in outputs["plain"].read_bytes()
+    assert load_rolemodels(flagged)[0] == want.records
 
 
 # The lenient loaders, each with its row maker and a builder that reads the
 # same rows through ``read_jsonl``.
 LENIENT_LOADERS = {
     "load_students": (load_students, student_row, StudentRecord.from_dict),
-    "load_candidates": (load_candidates, candidate_row,
-                        lambda row: CandidateRecord.from_dict(row, frozenset())),
+    "load_candidates": (load_candidates, candidate_row, CandidateRecord.from_dict),
 }
 
 # Each makes, from a row maker, one line that every reader rejects.
@@ -308,7 +299,7 @@ def test_the_lenient_loaders_do_not_read_through_read_jsonl(tmp_path, monkeypatc
 
     monkeypatch.setattr(records, "read_jsonl", refuse)
     assert [r.id for r in load_students(students)] == ["s1"]
-    assert [r.id for r in load_candidates(candidates, ["Biotechnology"])] == ["c1"]
+    assert [r.id for r in load_candidates(candidates)] == ["c1"]
 
 
 def test_write_then_read_jsonl_round_trips(tmp_path):

@@ -32,10 +32,9 @@ TAXONOMY = IndustryTaxonomy({
 })
 
 
-def candidate(industry, majors=(), unknown=False, cid="c1"):
+def candidate(industry, majors=(), cid="c1"):
     return CandidateRecord(
-        id=cid, industry=industry, education_majors=tuple(majors),
-        location_raw="Denver, CO", unknown_industry=unknown,
+        id=cid, industry=industry, education_majors=tuple(majors), location_raw="Denver, CO",
     )
 
 
@@ -91,7 +90,7 @@ def test_non_stem_industry_is_never_a_role_model():
 
 def test_unknown_industry_is_its_own_reason():
     decision = is_role_model(
-        candidate("Basket Weaving", unknown=True), TAXONOMY, default_majors()
+        candidate("Basket Weaving"), TAXONOMY, default_majors()
     )
     assert not decision.is_role_model
     assert decision.reason == REASON_UNKNOWN
@@ -103,7 +102,7 @@ def test_filter_preserves_order_and_counts_every_reason():
         candidate("Restaurants", cid="c2"),
         candidate("Financial Services", majors=["cs"], cid="c3"),
         candidate("Financial Services", cid="c4"),
-        candidate("Who Knows", unknown=True, cid="c5"),
+        candidate("Who Knows", cid="c5"),
     ]
     result = filter_role_models(pool, TAXONOMY, default_majors())
     assert [c.id for c in result.role_models] == ["c1", "c3"]

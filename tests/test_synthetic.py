@@ -1,5 +1,6 @@
 """Synthetic population generator: determinism, planting, and marginals."""
 
+import dataclasses
 import itertools
 import json
 
@@ -11,6 +12,7 @@ from stem_match.synthetic import (
     DEFAULT_INTEREST_VOCABULARY,
     SynthConfig,
     SynthError,
+    _CONFIG_KEYS,
     generate_population,
     generate_synthetic,
 )
@@ -166,6 +168,30 @@ def test_config_validation():
         small_config(missingness={"shoe_size": 0.5})
     with pytest.raises(SynthError):
         SynthConfig.from_dict({"seed": 1, "surprise": True})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_students", "10"), ("cities", 5), ("interest_vocabulary", 5), ("n_students", 2.5),
+    ("missingness", []), ("cities", [["A", "B"]]), ("max_interests", 2.5), ("seed", "x"),
+    ("label_mix", [["college", 1]]), ("cities", [["A", "B", float("inf")]]),
+])
+def test_a_config_value_of_the_wrong_type_is_a_synth_error_naming_its_key(key, value):
+    with pytest.raises(SynthError) as err:
+        SynthConfig.from_dict({key: value})
+    what = _CONFIG_KEYS[key][1]
+    assert str(err.value) == f"synth config key {key!r} must be {what}, got {value!r}"
+
+
+def test_every_config_key_has_a_rule():
+    assert list(_CONFIG_KEYS) == [f.name for f in dataclasses.fields(SynthConfig)]
+
+
+def test_a_config_from_json_equals_the_same_config_built_in_code():
+    data = {"cities": [["Austin", "TX", 2]], "interest_vocabulary": ["a", "b", "c"]}
+    config = SynthConfig.from_dict(data)
+    assert config == SynthConfig(cities=(("Austin", "TX", 2.0),),
+                                 interest_vocabulary=("a", "b", "c"))
+    assert config.cities == (("Austin", "TX", 2.0),)
 
 
 def test_default_vocabulary_tags_do_not_fuzzy_collide():
