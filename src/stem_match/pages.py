@@ -5,6 +5,13 @@ One self-contained page per student, rendered and written by
 (display name, industry, location), and an optional survey link.
 Rendering is deliberately free of timestamps or any other run-varying
 content so identical inputs produce identical bytes.
+
+The pages go to a temporary directory, a ``PageStaging``, that replaces the
+output directory once every page is written.  The kernel's cost of creating
+thousands of files after a mass deletion can exceed that of rendering them,
+so a pipeline run names the students it will write pages for as soon as it
+knows them, and a helper process creates those files, empty, while the
+compute stages run.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import html
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable, Mapping
 from urllib.parse import urlsplit
@@ -92,18 +101,101 @@ def _render_document(greeting_name: str, items: list[str], survey_url: str | Non
     )
 
 
+# The helper's program: create the empty file named by each line of stdin
+# in the directory given as its argument.  A last line cut off before its
+# newline names nothing.
+_CREATOR = (
+    "import os, sys\n"
+    "os.chdir(sys.argv[1])\n"
+    "for line in sys.stdin.buffer:\n"
+    "    if line.endswith(b'\\n'):\n"
+    "        os.close(os.open(line[:-1], os.O_WRONLY | os.O_CREAT, 0o666))\n"
+)
+
+
+class PageStaging:
+    """The temporary directory beside ``out_dir`` that ``write_pages`` fills.
+
+    With ``helper``, a helper process creates ahead the empty pages of the
+    student ids that ``reserve`` queues; a page that already exists is
+    truncated and written like a new one.  Names are written to the
+    helper's stdin without blocking, and only filename-safe ids are sent.
+    The helper exits at the end of its stdin, and its exit status is
+    ignored: what it has not created when ``write_pages`` stops it,
+    ``write_pages`` creates.  ``close`` stops the helper and deletes the
+    directory unless ``write_pages`` has put it in place.
+    """
+
+    def __init__(self, out_dir: str | Path, helper: bool = False):
+        directory = Path(out_dir)
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        self.temp = directory.with_name(f".{directory.name}.{os.urandom(6).hex()}.tmp")
+        self.temp.mkdir()
+        self._helper = _start_helper(self.temp) if helper else None
+        self._pending = b""
+
+    def __enter__(self) -> "PageStaging":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def reserve(self, student_ids: Iterable[str]) -> None:
+        """Queue the pages of ``student_ids`` for the helper to create."""
+        if self._helper is None:
+            return
+        self._pending += b"".join(f"{sid}.html\n".encode()
+                                  for sid in student_ids if _SAFE_FILENAME.match(sid))
+        try:
+            while self._pending:
+                self._pending = self._pending[os.write(self._helper.stdin.fileno(),
+                                                       self._pending):]
+        except BlockingIOError:
+            pass  # the pipe is full; the rest goes with the next call
+        except OSError:
+            self._pending = b""  # the helper is gone
+
+    def stop(self) -> None:
+        """Stop the helper and wait for it, so that it creates no more files."""
+        helper, self._helper = self._helper, None
+        if helper is not None:
+            helper.kill()
+            helper.wait()
+            helper.stdin.close()
+
+    def close(self) -> None:
+        self.stop()
+        shutil.rmtree(self.temp, ignore_errors=True)
+
+
+def _start_helper(directory: Path) -> subprocess.Popen | None:
+    if not sys.executable:
+        return None
+    try:
+        helper = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _CREATOR, str(directory)],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    except OSError:
+        return None
+    os.set_blocking(helper.stdin.fileno(), False)
+    return helper
+
+
 def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
                 candidates: Mapping[str, CandidateRecord], out_dir: str | Path,
                 survey_url: str | None = None,
-                url_template: str = PROFILE_URL_TEMPLATE) -> list[Path]:
+                url_template: str = PROFILE_URL_TEMPLATE,
+                staging: PageStaging | None = None) -> list[Path]:
     """Write ``<out_dir>/<student_id>.html`` for every result.
 
     ``display_names`` maps each student id to the student's display name
     (empty when unknown).  ``out_dir`` is replaced whole: the pages are
-    written to a temporary directory beside it, which takes its place only
-    once every page is written and is deleted when anything raises.  So no
-    page of a student who is no longer in the results survives, and a call
-    that fails leaves the previous ``out_dir`` as it was.
+    written to a temporary directory beside it, ``staging`` or a new one,
+    which takes its place only once every page is written and it holds no
+    other file, and is deleted when anything raises.  So no page of a
+    student who is no longer in the results survives, and a call that
+    fails leaves the previous ``out_dir`` as it was.
 
     Profile URLs are derived from candidate ids through ``url_template``
     (records carry no URL field of their own).  A role model's entry is
@@ -113,12 +205,13 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
     if survey_url:
         _check_url(survey_url)
     directory = Path(out_dir)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    temp = directory.with_name(f".{directory.name}.{os.urandom(6).hex()}.tmp")
-    temp.mkdir()
+    if staging is None:
+        staging = PageStaging(directory)
+    temp = staging.temp
     items: dict[str, str] = {}
     names = []
     try:
+        staging.stop()
         for result in results:
             display_name = display_names.get(result.student_id)
             if display_name is None:
@@ -140,9 +233,13 @@ def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str]
             name = f"{result.student_id}.html"
             (temp / name).write_text(page, encoding="utf-8", newline="\n")
             names.append(name)
+        strays = set(os.listdir(temp)).difference(names)
+        if strays:
+            raise PageError(f"{len(strays)} files in {temp} are no page of the results, "
+                            f"such as {min(strays)!r}")
         _replace_directory(temp, directory)
     except BaseException:
-        shutil.rmtree(temp, ignore_errors=True)
+        staging.close()
         raise
     return [directory / name for name in names]
 

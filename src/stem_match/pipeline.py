@@ -362,11 +362,12 @@ def report(results: Sequence[MatchResult], labels: Mapping[str, str],
 
 def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
           role_models: Iterable[CandidateRecord], pages_dir: str | Path,
-          survey_url: str | None, url_template: str) -> list[Path]:
+          survey_url: str | None, url_template: str,
+          staging: pages_mod.PageStaging | None = None) -> list[Path]:
     """Write one page per student, listing its ranked role models."""
     return pages_mod.write_pages(
         results, display_names, {r.id: r for r in role_models},
-        pages_dir, survey_url=survey_url, url_template=url_template,
+        pages_dir, survey_url=survey_url, url_template=url_template, staging=staging,
     )
 
 
@@ -384,6 +385,9 @@ def _stage_label(config: PipelineConfig, paths: Mapping[str, Path], state: dict)
     state["students"] = _checked(load_students(config.students), "student", config.students)
     partition = label(state["students"], config.rules, paths["labels"])
     state["labels"] = {sid: weak.value for sid, weak in partition.labels.items()}
+    # Every weakly labelled college student is in the cohort and gets a page.
+    state["staging"].reserve(sid for sid, value in state["labels"].items()
+                             if value == labeling.COLLEGE)
 
 
 def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
@@ -393,6 +397,8 @@ def _stage_classify(config: PipelineConfig, paths: Mapping[str, Path], state: di
     result = classify(state["students"], state["labels"], train_config, config.cv_folds,
                       paths["predicted"], paths["model"])
     state["model"], state["predicted"] = result.model, result.rows
+    state["staging"].reserve(row["id"] for row in result.rows
+                             if row.get("predicted") == labeling.COLLEGE)
 
 
 def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
@@ -431,7 +437,7 @@ def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: dict
 
 def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     pages(state.pop("matches"), state.pop("display_names"), state.pop("rolemodels"),
-          paths["pages"], config.survey_url, config.profile_url_template)
+          paths["pages"], config.survey_url, config.profile_url_template, state["staging"])
 
 
 _STAGE_FUNCS = {
@@ -450,14 +456,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     The stages hand their parsed artifacts to each other by name in one
     dict; a stage ``pop``s an artifact when it is its last reader, so that
-    it can be freed.
+    it can be freed.  The pages' temporary directory and its helper process
+    come first: from the end of ``label`` on, the helper creates the files
+    of the pages that the run will write while the other stages compute.
+    However the run ends, it stops the helper and deletes the directory,
+    unless the pages stage put it in place.
     """
     paths = config.artifact_paths()
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    state: dict = {}
-    for stage in STAGES:
-        try:
-            _STAGE_FUNCS[stage](config, paths, state)
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
+    with pages_mod.PageStaging(paths["pages"], helper=True) as staging:
+        state: dict = {"staging": staging}
+        for stage in STAGES:
+            try:
+                _STAGE_FUNCS[stage](config, paths, state)
+            except Exception as exc:
+                raise PipelineError(stage, str(exc)) from exc
     return PipelineResult(paths=paths, report=state.pop("report"))

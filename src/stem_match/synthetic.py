@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .attributes import _HASHTAG
 from .records import (
     GENDER_VALUES,
     RACE_VALUES,
@@ -192,9 +193,11 @@ _CONFIG_KEYS = {
                "a nonempty list of [city, state, weight] with a finite weight > 0"),
     "gender_marginals": _marginals(GENDER_VALUES),
     "race_marginals": _marginals(RACE_VALUES),
-    "interest_vocabulary": (lambda v: isinstance(v, (list, tuple)) and bool(v)
-                            and all(isinstance(tag, str) for tag in v),
-                            "a nonempty list of strings"),
+    # A tag is written into tweets as "#" + tag, so it must read back whole
+    # as one hashtag.
+    "interest_vocabulary": (lambda v: isinstance(v, (list, tuple)) and bool(v) and all(
+        isinstance(tag, str) and _HASHTAG.fullmatch("#" + tag) for tag in v),
+        "a nonempty list of tags that each read as one hashtag"),
     "min_interests": _COUNT,
     "max_interests": _COUNT,
     "planted_fraction": (_is_fraction, "a number within [0, 1]"),

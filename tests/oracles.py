@@ -2,12 +2,12 @@
 
 Deliberately written with different algorithms than the package: plain
 memoized recursion for edit distance, exhaustive enumeration for maximum
-matching, a per-pair full sort for ranking, a per-character range
-test for emoji, separate HAHA and LOL searches for laughter, every rule's
-regex on every text with no literal gate for weak labels, a
-field-by-field comparison per ranked pair for match accuracy, and a
-per-example Python sum for the classifier's decision score, so agreement
-is evidence rather than tautology.
+matching, a per-pair full sort over those two kernels for ranking, a
+per-character range test for emoji, separate HAHA and LOL searches for
+laughter, every rule's regex on every text with no literal gate for weak
+labels, a field-by-field comparison per ranked pair for match accuracy,
+and a per-example Python sum for the classifier's decision score, so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from stem_match.classifier import EMOJI_RANGES, N_BINS
 from stem_match.labeling import COLLEGE, NON_COLLEGE, UNLABELED, WeakLabel
-from stem_match.similarity import combined_score
+from stem_match.similarity import SimilarityBreakdown
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -35,6 +35,7 @@ def edit_distance(a: str, b: str) -> int:
     return go(len(a), len(b))
 
 
+@lru_cache(maxsize=None)
 def edit_similarity(a: str, b: str) -> float:
     total = len(a) + len(b)
     if total == 0:
@@ -67,16 +68,38 @@ def classical_jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(a | b)
 
 
+@lru_cache(maxsize=None)
+def pair_breakdown(student, profile, threshold) -> SimilarityBreakdown:
+    """One pair's similarities from this module's own kernels: exact match
+    for gender and race, edit similarity of the ``_place``-normalized
+    locations, exhaustive fuzzy Jaccard of the interests, and the plain mean
+    of the components present, in that order."""
+
+    def exact(a, b):
+        return None if a is None or b is None else float(a == b)
+
+    location = None
+    if student.location is not None and profile.location is not None:
+        location = edit_similarity(_place(student.location), _place(profile.location))
+    interest = None
+    if student.interests and profile.interests:
+        m = exhaustive_matching_size(list(student.interests), list(profile.interests), threshold)
+        interest = m / (len(student.interests) + len(profile.interests) - m)
+    components = (exact(student.gender, profile.gender), exact(student.race, profile.race),
+                  location, interest)
+    present = [c for c in components if c is not None]
+    return SimilarityBreakdown(*components, combined=sum(present) / len(present) if present else 0.0,
+                               no_signal=not present)
+
+
 def full_sort_rank(student_id, student, candidates, k, threshold):
     """Score every pair one at a time, sort, and cut at k.
 
     Ordering: signal before no-signal, then combined descending, then
     candidate id ascending.
     """
-    scored = []
-    for candidate_id, profile in candidates:
-        breakdown = combined_score(student, profile, threshold)
-        scored.append((candidate_id, breakdown))
+    scored = [(candidate_id, pair_breakdown(student, profile, threshold))
+              for candidate_id, profile in candidates]
     scored.sort(key=lambda item: (item[1].no_signal, -item[1].combined, item[0]))
     return scored[:k]
 

@@ -2,11 +2,12 @@
 
 import html
 import re
+import time
 
 import pytest
 
 from stem_match.matching import MatchResult
-from stem_match.pages import PROFILE_URL_TEMPLATE, PageError, write_pages
+from stem_match.pages import PROFILE_URL_TEMPLATE, PageError, PageStaging, write_pages
 from stem_match.records import CandidateRecord
 from stem_match.similarity import SimilarityBreakdown
 
@@ -207,3 +208,40 @@ def test_a_rewrite_replaces_the_pages_directory_and_leaves_no_temporary(tmp_path
     assert path == pages_dir / "s2.html"
     assert [p.name for p in pages_dir.iterdir()] == ["s2.html"]
     assert [p.name for p in tmp_path.iterdir()] == ["pages"]
+
+
+def test_the_helper_creates_the_reserved_pages_and_skips_unsafe_ids(tmp_path):
+    with PageStaging(tmp_path / "pages", helper=True) as staging:
+        staging.reserve(["../escape", "s1", "a/b"])
+        staging.reserve(["s2"])
+        # the helper takes names in order, so s2's page is the last it makes
+        deadline = time.monotonic() + 30
+        while not (staging.temp / "s2.html").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        staging.stop()
+        assert sorted(path.name for path in staging.temp.iterdir()) == ["s1.html", "s2.html"]
+        assert (staging.temp / "s1.html").read_bytes() == b""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_pages_fills_a_staging_directory_and_puts_it_in_place(tmp_path):
+    mapping = candidates_by_id(candidate("c1"))
+    results = [result_for("s1", ["c1"]), result_for("s2", ["c1"])]
+    names = {"s1": "Ana", "s2": "Blake"}
+    write_pages(results, names, mapping, tmp_path / "plain")
+    with PageStaging(tmp_path / "staged", helper=True) as staging:
+        staging.reserve(["s2", "s1"])
+        write_pages(results, names, mapping, tmp_path / "staged", staging=staging)
+    assert ({p.name: p.read_bytes() for p in (tmp_path / "staged").iterdir()}
+            == {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "staged"]
+
+
+def test_write_pages_refuses_a_staging_directory_holding_a_file_it_did_not_write(tmp_path):
+    pages_dir = tmp_path / "pages"
+    staging = PageStaging(pages_dir)
+    (staging.temp / "s9.html").touch()
+    with pytest.raises(PageError, match="'s9.html'"):
+        write_pages([result_for("s1", ["c1"])], {"s1": "Ana"}, candidates_by_id(candidate("c1")),
+                    pages_dir, staging=staging)
+    assert list(tmp_path.iterdir()) == []

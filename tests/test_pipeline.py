@@ -2,11 +2,13 @@
 
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from stem_match import pipeline
+from stem_match import labeling, pipeline
 from stem_match.cli import main
 from stem_match.pages import PROFILE_URL_TEMPLATE
 from stem_match.pipeline import (
@@ -171,6 +173,88 @@ def test_a_report_that_fails_mid_write_leaves_the_previous_report_whole(tmp_path
         write(["\ud800"])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every process that ``subprocess.Popen`` starts during the test."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return started
+
+
+def staged_entries(out):
+    return [path.name for path in out.iterdir() if path.name.startswith(".pages.")]
+
+
+def test_a_run_starts_one_page_helper_and_reaps_it(tmp_path, corpus, helpers):
+    out = tmp_path / "out"
+    run_pipeline(make_config(corpus, out))
+    assert len(helpers) == 1 and helpers[0].returncode is not None
+    assert staged_entries(out) == []
+
+
+@pytest.mark.parametrize("stage", ["rank", "report"])
+def test_a_run_that_fails_after_label_reaps_the_helper_and_leaves_no_staged_pages(
+        tmp_path, corpus, monkeypatch, helpers, stage):
+    def fail(config, paths, state):
+        raise RuntimeError("injected failure")
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, fail)
+    out = tmp_path / "out"
+    with pytest.raises(PipelineError, match=f"stage {stage!r}: injected failure"):
+        run_pipeline(make_config(corpus, out))
+    assert len(helpers) == 1 and helpers[0].returncode is not None
+    assert staged_entries(out) == []
+
+
+def test_an_unsafe_weakly_college_id_reaches_no_helper_and_fails_the_pages_stage(
+        tmp_path, corpus, helpers):
+    rows = [json.loads(line) for line in corpus["students"].read_text(encoding="utf-8").splitlines()]
+    weak = labeling.label_corpus(pipeline.load_students(corpus["students"]).records,
+                                 labeling.default_rules()).labels
+    row = next(row for row in rows if weak[row["id"]].value == labeling.COLLEGE)
+    row["id"] = "../escape"
+    students = tmp_path / "students.jsonl"
+    students.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(make_config(corpus, out, students=students, annotations=None))
+    assert err.value.stage == "pages" and "'../escape' is not filename-safe" in str(err.value)
+    assert len(helpers) == 1 and helpers[0].returncode is not None
+    assert not list(tmp_path.rglob("escape*"))
+    assert staged_entries(out) == []
+
+
+def stop_at_once(monkeypatch):
+    """Kill each helper as soon as it starts, before it creates a file."""
+    popen = subprocess.Popen
+
+    def stopped(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        proc.kill()
+        proc.wait()
+        return proc
+    monkeypatch.setattr(subprocess, "Popen", stopped)
+
+
+def no_interpreter(monkeypatch):
+    monkeypatch.setattr(sys, "executable", "")
+
+
+@pytest.mark.parametrize("without_helper", [stop_at_once, no_interpreter])
+def test_pages_are_the_same_bytes_without_a_working_helper(tmp_path, corpus, monkeypatch,
+                                                           helpers, without_helper):
+    run_pipeline(make_config(corpus, tmp_path / "helped"))
+    assert len(helpers) == 1
+    without_helper(monkeypatch)
+    run_pipeline(make_config(corpus, tmp_path / "unhelped"))
+    assert tree_bytes(tmp_path / "unhelped") == tree_bytes(tmp_path / "helped")
+    assert staged_entries(tmp_path / "unhelped") == []
 
 
 def test_errors_name_the_failing_stage(tmp_path, corpus):

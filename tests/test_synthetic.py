@@ -174,6 +174,7 @@ def test_config_validation():
     ("n_students", "10"), ("cities", 5), ("interest_vocabulary", 5), ("n_students", 2.5),
     ("missingness", []), ("cities", [["A", "B"]]), ("max_interests", 2.5), ("seed", "x"),
     ("label_mix", [["college", 1]]), ("cities", [["A", "B", float("inf")]]),
+    ("interest_vocabulary", ["rock climbing", "chess"]), ("interest_vocabulary", ["chess", ""]),
 ])
 def test_a_config_value_of_the_wrong_type_is_a_synth_error_naming_its_key(key, value):
     with pytest.raises(SynthError) as err:
