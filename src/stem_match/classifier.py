@@ -1,7 +1,9 @@
 """Tweet-usage features and the college / non-college linear classifier.
 
 Each feature is the fraction of a student's tweets containing a marker
-(emoji, hashtag, HAHA/LOL laughter, retweet), discretized into ten bins.
+(emoji, hashtag, HAHA/LOL laughter, retweet), discretized into ten bins;
+a ``FeatureVector`` holds the bins alone, and retweets are counted only
+when that feature is asked for.
 A linear max-margin model (hinge loss + L2, trained by deterministic
 subgradient descent with a decaying step size) turns weak labels into
 predictions for the unlabeled majority.  The retweet feature is off by
@@ -73,16 +75,14 @@ def _bin(count: int, total: int) -> int:
 class FeatureVector:
     """Binned tweet-usage features for one student.
 
-    ``raw_frequencies`` keeps the underlying (emoji, hashtag, hahalol,
-    retweet) fractions; ``retweet_bin`` is None unless the ablation
-    feature was requested.
+    Each bin is the student's share of tweets with the marker, in tenths;
+    ``retweet_bin`` is None unless the ablation feature was requested.
     """
 
     emoji_bin: int
     hashtag_bin: int
     hahalol_bin: int
     retweet_bin: int | None
-    raw_frequencies: tuple[float, float, float, float]
 
 
 def extract_features(record: StudentRecord, with_retweet: bool = False) -> FeatureVector:
@@ -93,13 +93,12 @@ def extract_features(record: StudentRecord, with_retweet: bool = False) -> Featu
     emoji = sum(1 for t in record.tweets if contains_emoji(t))
     hashtag = sum(1 for t in record.tweets if contains_hashtag(t))
     hahalol = sum(1 for t in record.tweets if contains_hahalol(t))
-    retweet = sum(1 for t in record.tweets if is_retweet(t))
+    retweet = sum(1 for t in record.tweets if is_retweet(t)) if with_retweet else None
     return FeatureVector(
         emoji_bin=_bin(emoji, total),
         hashtag_bin=_bin(hashtag, total),
         hahalol_bin=_bin(hahalol, total),
-        retweet_bin=_bin(retweet, total) if with_retweet else None,
-        raw_frequencies=(emoji / total, hashtag / total, hahalol / total, retweet / total),
+        retweet_bin=None if retweet is None else _bin(retweet, total),
     )
 
 

@@ -86,7 +86,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     results = matching.load_matches(args.matches)
     annotations = matching.load_annotations(args.annotations)
-    report = matching.evaluate(results, annotations, args.level)
+    # The k the matches were ranked with, as far as the file shows it.
+    n_max = max((len(result.ranked) for result in results), default=0) or matching.DEFAULT_K
+    report = matching.evaluate(results, annotations, args.level, n_max=n_max)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     write_atomic(args.out, [text + "\n"])
     print(f"{args.level}: cohort {report.cohort_size}, "

@@ -120,9 +120,6 @@ class LabelRule:
             return True
         return any(compiled.search(tweet) for tweet in record.tweets)
 
-    def to_dict(self) -> dict:
-        return {"pattern": self.pattern, "label": self.label, "description": self.description}
-
 
 @dataclass(frozen=True)
 class WeakLabel:

@@ -75,9 +75,6 @@ class MatchResult:
         if len(ids) != len(set(ids)):
             raise MatchError(f"duplicate candidate ids in result for {self.student_id!r}")
 
-    def candidate_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.ranked)
-
     def all_no_signal(self) -> bool:
         return all(breakdown.no_signal for _, breakdown in self.ranked)
 
@@ -410,10 +407,10 @@ class AccuracyReport:
     """Per-n matching accuracy for one evaluation level.
 
     ``accuracies[i]`` is the fraction of the cohort with at least i+1
-    correct matches in their top-5; the sequence is nonincreasing by
-    construction.  Students whose entire ranked list was no-signal stay in
-    the cohort (they count as zero correct) but are also reported
-    separately.
+    correct matches in their ranked list, for each i below ``evaluate``'s
+    ``n_max``; the sequence is nonincreasing by construction.  Students
+    whose entire ranked list was no-signal stay in the cohort (they count
+    as zero correct) but are also reported separately.
     """
 
     level: str

@@ -259,7 +259,7 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
     """Keep the STEM role models among ``candidates``, each with its reason."""
     result = rolemodels.filter_role_models(candidates, taxonomy, majors)
     write_jsonl(rolemodels_out, (
-        {**candidate.to_dict(), "reason": result.decisions[candidate.id].reason}
+        {**candidate.to_dict(), "reason": result.decisions[candidate.id]}
         for candidate in result.role_models
     ))
     return result
@@ -407,7 +407,7 @@ def _stage_identify(config: PipelineConfig, paths: Mapping[str, Path], state: di
     result = identify(_checked(loaded, "candidate", config.candidates), taxonomy, majors,
                       paths["rolemodels"])
     state["rolemodels"] = result.role_models
-    state["reasons"] = [result.decisions[c.id].reason for c in result.role_models]
+    state["reasons"] = [result.decisions[c.id] for c in result.role_models]
 
 
 def _stage_attributes(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:

@@ -92,10 +92,6 @@ class PredictorOutput:
             "accuracy": self.accuracy,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PredictorOutput":
-        return cls(*_output_fields(data))
-
 
 @dataclass(frozen=True)
 class StudentRecord:
@@ -362,12 +358,6 @@ class LoadResult:
 
     records: list
     errors: list[LoadError] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _parse_line(line: str) -> dict:

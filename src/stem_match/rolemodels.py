@@ -1,18 +1,21 @@
 """STEM role-model identification from industry and education.
 
-A candidate qualifies as a role model when their industry is in the STEM
-group outright, or in the STEM-related group and at least one of their
-education majors resolves to a STEM major.  The industry → group mapping
-and the STEM major list (with aliases) are editable JSON Lines data; the
-bundled defaults cover the standard 147-industry vocabulary and a
-38-major list.
+Each candidate gets one of five reasons (``REASONS``).  A candidate
+qualifies as a role model when their industry is in the STEM group
+outright, or in the STEM-related group and at least one of their
+education majors resolves to a STEM major: the two ``KEPT_REASONS``.
+A STEM-related industry without such a major, a non-STEM industry and
+an industry the taxonomy does not list are the three that reject.  The
+industry → group mapping and the STEM major list (with aliases) are
+editable JSON Lines data; the bundled defaults cover the standard
+147-industry vocabulary and a 38-major list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .records import _WS_RUN, DATA_DIR, CandidateRecord, read_jsonl
 
@@ -33,6 +36,7 @@ REASONS = (
     REASON_NON_STEM,
     REASON_UNKNOWN,
 )
+KEPT_REASONS = frozenset({REASON_STEM, REASON_RELATED_WITH_DEGREE})
 
 
 class TaxonomyError(ValueError):
@@ -68,9 +72,6 @@ class IndustryTaxonomy:
         return tuple(self.names.get(key, key) for key, value in self.groups.items()
                      if value == group)
 
-    def __len__(self) -> int:
-        return len(self.groups)
-
 
 @dataclass(frozen=True)
 class StemMajorList:
@@ -87,9 +88,6 @@ class StemMajorList:
         but "computer science" and the alias "cs" do.
         """
         return self._lookup.get(_norm_key(major))
-
-    def __len__(self) -> int:
-        return len(self.canonical)
 
 
 def load_taxonomy(path: str | Path) -> IndustryTaxonomy:
@@ -151,59 +149,44 @@ def default_majors() -> StemMajorList:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoleModelDecision:
-    """Outcome of the predicate plus the branch that produced it."""
+def role_model_reason(candidate: CandidateRecord, taxonomy: IndustryTaxonomy,
+                      majors: StemMajorList) -> str:
+    """The one of ``REASONS`` that decides whether a candidate is a STEM role model.
 
-    is_role_model: bool
-    reason: str
-    stem_major: str | None = None  # canonical major that qualified, if any
-
-
-def is_role_model(candidate: CandidateRecord, taxonomy: IndustryTaxonomy,
-                  majors: StemMajorList) -> RoleModelDecision:
-    """Decide whether one candidate counts as a STEM role model.
-
+    The candidate is kept exactly when the reason is in ``KEPT_REASONS``.
     Depends only on the industry and education majors; every other
     candidate field is ignored.
     """
     group = taxonomy.group_of(candidate.industry)
     if group is None:
-        return RoleModelDecision(False, REASON_UNKNOWN)
+        return REASON_UNKNOWN
     if group == GROUP_STEM:
-        return RoleModelDecision(True, REASON_STEM)
+        return REASON_STEM
     if group == GROUP_RELATED:
-        for major in candidate.education_majors:
-            resolved = majors.resolve(major)
-            if resolved is not None:
-                return RoleModelDecision(True, REASON_RELATED_WITH_DEGREE, resolved)
-        return RoleModelDecision(False, REASON_RELATED_WITHOUT_DEGREE)
-    return RoleModelDecision(False, REASON_NON_STEM)
+        if any(majors.resolve(major) is not None for major in candidate.education_majors):
+            return REASON_RELATED_WITH_DEGREE
+        return REASON_RELATED_WITHOUT_DEGREE
+    return REASON_NON_STEM
 
 
 @dataclass
 class FilterResult:
-    """Role models in input order plus per-branch counts over all inputs."""
+    """Role models in input order, every candidate's reason, and per-reason counts."""
 
     role_models: list[CandidateRecord]
-    decisions: dict[str, RoleModelDecision]
+    decisions: dict[str, str]  # candidate id -> reason
     counts: dict[str, int]
 
 
 def filter_role_models(candidates: Iterable[CandidateRecord], taxonomy: IndustryTaxonomy,
                        majors: StemMajorList) -> FilterResult:
-    """Keep the candidates that qualify, preserving input order.
-
-    Candidates with the same outcome share one decision object.
-    """
+    """Keep the candidates that qualify, preserving input order."""
     kept: list[CandidateRecord] = []
-    decisions: dict[str, RoleModelDecision] = {}
-    outcomes: dict[RoleModelDecision, RoleModelDecision] = {}
+    decisions: dict[str, str] = {}
     counts = {reason: 0 for reason in REASONS}
     for candidate in candidates:
-        decision = is_role_model(candidate, taxonomy, majors)
-        decision = decisions[candidate.id] = outcomes.setdefault(decision, decision)
-        counts[decision.reason] += 1
-        if decision.is_role_model:
+        reason = decisions[candidate.id] = role_model_reason(candidate, taxonomy, majors)
+        counts[reason] += 1
+        if reason in KEPT_REASONS:
             kept.append(candidate)
     return FilterResult(kept, decisions, counts)

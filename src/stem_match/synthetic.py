@@ -30,8 +30,8 @@ from .records import (
     _is_int,
     write_jsonl,
 )
-from .rolemodels import (GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, GROUPS, default_majors,
-                         default_taxonomy, is_role_model)
+from .rolemodels import (GROUP_NON_STEM, GROUP_RELATED, GROUP_STEM, GROUPS, KEPT_REASONS,
+                         default_majors, default_taxonomy, role_model_reason)
 
 # Single-token tags (hashtag-safe) chosen pairwise dissimilar under the
 # edit-distance similarity at the default 0.8 threshold, so two distinct
@@ -260,14 +260,6 @@ class SynthPopulation:
     candidates: tuple[CandidateRecord, ...]
     annotations: tuple[dict, ...]
 
-    def planted_pairs(self) -> dict[str, str]:
-        """student id -> planted candidate id, for annotated students."""
-        return {
-            row["subject_id"]: row["planted_candidate_id"]
-            for row in self.annotations
-            if row.get("planted_candidate_id")
-        }
-
 
 def _predictor_outputs(gender: str | None, race: str | None) -> tuple[PredictorOutput, ...]:
     outputs = []
@@ -450,7 +442,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
                 "race": race,
                 "city": city,
                 "state": state,
-                "is_stem_role_model": is_role_model(record, taxonomy, majors).is_role_model,
+                "is_stem_role_model": role_model_reason(record, taxonomy, majors) in KEPT_REASONS,
             }
         )
 

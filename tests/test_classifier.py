@@ -36,8 +36,6 @@ def vector(emoji=0, hashtag=0, hahalol=0, retweet=None):
     return FeatureVector(
         emoji_bin=emoji, hashtag_bin=hashtag, hahalol_bin=hahalol,
         retweet_bin=retweet,
-        raw_frequencies=(emoji / 10, hashtag / 10, hahalol / 10,
-                         (retweet or 0) / 10),
     )
 
 
@@ -80,9 +78,11 @@ def test_extract_features_emoji_counts_match_the_oracle_on_a_synthetic_corpus():
     for record in with_tweets:
         total = len(record.tweets)
         count = sum(1 for t in record.tweets if oracles.contains_emoji(t))
-        features = extract_features(record)
-        assert features.raw_frequencies[0] == count / total, record.id
-        assert features.emoji_bin == min(10 * count // total, 9), record.id
+        assert extract_features(record).emoji_bin == min(10 * count // total, 9), record.id
+        # one tweet at a time, the bin is 9 or 0: each tweet is counted as the oracle counts it
+        for tweet in record.tweets:
+            one = StudentRecord(id=record.id, tweets=(tweet,))
+            assert extract_features(one).emoji_bin == 9 * oracles.contains_emoji(tweet), tweet
 
 
 def test_hahalol_is_case_sensitive_and_token_bounded():
@@ -124,9 +124,10 @@ def test_extract_features_hahalol_counts_match_the_oracle_on_a_synthetic_corpus(
     for record in with_tweets:
         total = len(record.tweets)
         count = sum(1 for t in record.tweets if oracles.contains_hahalol(t))
-        features = extract_features(record)
-        assert features.raw_frequencies[2] == count / total, record.id
-        assert features.hahalol_bin == min(10 * count // total, 9), record.id
+        assert extract_features(record).hahalol_bin == min(10 * count // total, 9), record.id
+        for tweet in record.tweets:
+            one = StudentRecord(id=record.id, tweets=(tweet,))
+            assert extract_features(one).hahalol_bin == 9 * oracles.contains_hahalol(tweet), tweet
 
 
 def test_hashtag_and_retweet_predicates():
@@ -174,12 +175,6 @@ def test_retweet_bin_only_present_when_requested():
     tweets = ["RT @a: x", "plain"]
     assert extract_features(student(tweets)).retweet_bin is None
     assert extract_features(student(tweets), with_retweet=True).retweet_bin == 5
-
-
-def test_raw_frequencies_are_exact_fractions():
-    tweets = ["#x \U0001F600", "HAHA", "RT @a: y", "plain"]
-    features = extract_features(student(tweets), with_retweet=True)
-    assert features.raw_frequencies == (0.25, 0.25, 0.25, 0.25)
 
 
 # ---------------------------------------------------------------------------

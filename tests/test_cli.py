@@ -130,19 +130,28 @@ def test_stage_commands_write_the_same_bytes_as_a_pipeline_run(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
 
 
-@pytest.fixture(scope="module")
-def pipeline_run(corpus, tmp_path_factory):
+def run_pipeline_over(corpus, root, **settings):
     """The output directory of one pipeline run over ``corpus``, with annotations."""
-    root = tmp_path_factory.mktemp("cli-pipeline")
     config_path = root / "pipeline.json"
     config_path.write_text(json.dumps({
         "students": str(corpus / "students.jsonl"),
         "candidates": str(corpus / "candidates.jsonl"),
         "annotations": str(corpus / "gt.jsonl"),
         "out_dir": str(root / "out"),
+        **settings,
     }), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path)]) == 0
     return root / "out"
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(corpus, tmp_path_factory):
+    return run_pipeline_over(corpus, tmp_path_factory.mktemp("cli-pipeline"))
+
+
+@pytest.fixture(scope="module")
+def k3_run(corpus, tmp_path_factory):
+    return run_pipeline_over(corpus, tmp_path_factory.mktemp("cli-k3"), k=3, cv_folds=2)
 
 
 def tree_bytes(root):
@@ -194,6 +203,20 @@ def test_evaluate_on_a_pipeline_runs_matches_gives_the_reports_accuracy(
                  "--annotations", str(corpus / "gt.jsonl"), "--level", level,
                  "--out", str(tmp_path / "eval.json")]) == 0
     report = json.loads((pipeline_run / "report.json").read_text(encoding="utf-8"))
+    assert json.loads((tmp_path / "eval.json").read_text(encoding="utf-8")) == \
+        report["evaluation"][level]
+
+
+@pytest.mark.parametrize("level", ["city-all", "state-all", "city-top10", "state-top10"])
+def test_evaluate_reports_accuracy_up_to_the_k_the_matches_were_ranked_with(
+        corpus, k3_run, tmp_path, level):
+    # The pool holds more than three role models, so every ranked list has
+    # three entries and evaluate reads k = 3 off the file, as the report used.
+    assert main(["evaluate", "--matches", str(k3_run / "matches.jsonl"),
+                 "--annotations", str(corpus / "gt.jsonl"), "--level", level,
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    report = json.loads((k3_run / "report.json").read_text(encoding="utf-8"))
+    assert list(report["evaluation"][level]["accuracy"]) == ["1", "2", "3"]
     assert json.loads((tmp_path / "eval.json").read_text(encoding="utf-8")) == \
         report["evaluation"][level]
 

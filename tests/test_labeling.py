@@ -127,10 +127,11 @@ def test_read_labels_applies_overrides(tmp_path):
 
 def test_load_rules_round_trip(tmp_path):
     path = tmp_path / "rules.jsonl"
-    write_jsonl(path, [r.to_dict() for r in RULES])
+    write_jsonl(path, [{"pattern": r.pattern, "label": r.label, "description": r.description}
+                       for r in RULES])
     loaded = load_rules(path)
-    assert [r.description for r in loaded] == [r.description for r in RULES]
-    assert [r.label for r in loaded] == [r.label for r in RULES]
+    assert loaded == list(RULES)
+    assert [r.gate for r in loaded] == [r.gate for r in RULES]
 
 
 @pytest.mark.parametrize("row, message", [

@@ -57,7 +57,7 @@ def test_rank_matches_full_sort_oracle_small():
         student = random_profile(rng)
         expected = oracles.full_sort_rank("s", student, candidates, 5, 0.8)
         [result] = match_corpus([("s", student)], candidates, k=5)
-        assert result.candidate_ids() == tuple(cid for cid, _ in expected)
+        assert [cid for cid, _ in result.ranked] == [cid for cid, _ in expected]
         for (got_id, got), (_, want) in zip(result.ranked, expected):
             assert got == want, got_id
 
@@ -67,7 +67,7 @@ def test_rank_breaks_ties_by_candidate_id():
     twin = AttributeProfile(gender="female")
     candidates = [("c9", twin), ("c1", twin), ("c5", twin)]
     [result] = match_corpus([("s", student)], candidates, k=3)
-    assert result.candidate_ids() == ("c1", "c5", "c9")
+    assert [cid for cid, _ in result.ranked] == ["c1", "c5", "c9"]
 
 
 def test_rank_puts_no_signal_candidates_last():
@@ -76,7 +76,7 @@ def test_rank_puts_no_signal_candidates_last():
     weak = AttributeProfile(gender="male")             # comparable but 0.0
     candidates = [("c1", scoreless), ("c2", weak)]
     [result] = match_corpus([("s", student)], candidates, k=2)
-    assert result.candidate_ids() == ("c2", "c1")
+    assert [cid for cid, _ in result.ranked] == ["c2", "c1"]
     assert result.ranked[0][1].combined == 0.0
     assert not result.ranked[0][1].no_signal
     assert result.ranked[1][1].no_signal
@@ -688,7 +688,7 @@ def test_evaluate_equals_the_pairwise_oracle_on_random_annotations():
     for level in ("city-all", "state-all"):
         for result in results:
             student = annotations[result.student_id]
-            for cid in result.candidate_ids():
+            for cid, _ in result.ranked:
                 if cid in annotations:
                     assert is_correct(student, annotations[cid], level) == \
                         oracles.correct_match(student, annotations[cid], level), (level, cid)

@@ -165,7 +165,7 @@ def test_each_page_equals_the_page_of_a_call_for_that_student_alone(tmp_path):
             greeting = html.escape(names[result.student_id] or result.student_id)
             assert f"<h1>Hi {greeting}, " in alone, path.name
             assert [url for url, _ in entries(alone)] == [
-                PROFILE_URL_TEMPLATE.format(id=cid) for cid in result.candidate_ids()]
+                PROFILE_URL_TEMPLATE.format(id=cid) for cid, _ in result.ranked]
 
 
 def test_write_pages_rejects_bad_urls_and_unknown_candidates(tmp_path):

@@ -75,7 +75,7 @@ def test_batched_decision_equals_the_per_example_python_sum(data, with_retweet, 
         active_features=active, seed=0, epochs=1, lam=0.01)
     vectors = [
         classifier.FeatureVector(data.draw(bins), data.draw(bins), data.draw(bins),
-                                 data.draw(bins) if with_retweet else None, (0.0,) * 4)
+                                 data.draw(bins) if with_retweet else None)
         for _ in range(n)
     ]
     want = [oracles.decision_score(model, vector) for vector in vectors]

@@ -108,7 +108,7 @@ def test_predictor_output_accuracy_range():
 
 def test_an_accuracy_too_large_for_a_float_is_a_record_error(tmp_path):
     with pytest.raises(RecordError, match="^accuracy does not fit a float$"):
-        PredictorOutput.from_dict(output_row(accuracy=-10 ** 400))
+        StudentRecord.from_dict(student_row(predictor_outputs=[output_row(accuracy=-10 ** 400)]))
     path = tmp_path / "rolemodels.jsonl"
     write_candidates(path, [output_row()], [output_row(accuracy=10 ** 400)])
     with pytest.raises(RecordError) as err:
@@ -118,7 +118,8 @@ def test_an_accuracy_too_large_for_a_float_is_a_record_error(tmp_path):
 
 def test_predictor_output_round_trip():
     out = PredictorOutput("name-demographics", "race", "Api", 0.66)
-    assert PredictorOutput.from_dict(out.to_dict()) == out
+    record = StudentRecord.from_dict(student_row(predictor_outputs=[out.to_dict()]))
+    assert record.predictor_outputs == (out,)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +299,8 @@ def test_the_lenient_loaders_do_not_read_through_read_jsonl(tmp_path, monkeypatc
         raise AssertionError("read_jsonl called")
 
     monkeypatch.setattr(records, "read_jsonl", refuse)
-    assert [r.id for r in load_students(students)] == ["s1"]
-    assert [r.id for r in load_candidates(candidates)] == ["c1"]
+    assert [r.id for r in load_students(students).records] == ["s1"]
+    assert [r.id for r in load_candidates(candidates).records] == ["c1"]
 
 
 def test_write_then_read_jsonl_round_trips(tmp_path):
@@ -448,8 +449,7 @@ def test_read_jsonl_without_a_key_keeps_every_row(tmp_path):
 def test_bundled_data_loads_the_same_as_a_copy_given_as_an_override(tmp_path):
     for name in ("rules.jsonl", "taxonomy.jsonl", "majors.jsonl"):
         shutil.copy(DATA_DIR / name, tmp_path / name)
-    assert ([rule.to_dict() for rule in load_rules(tmp_path / "rules.jsonl")]
-            == [rule.to_dict() for rule in default_rules()])
+    assert load_rules(tmp_path / "rules.jsonl") == default_rules()
     assert load_taxonomy(tmp_path / "taxonomy.jsonl") == default_taxonomy()
     assert load_majors(tmp_path / "majors.jsonl") == default_majors()
 
@@ -552,7 +552,7 @@ def test_an_unhashable_output_field_is_a_record_error(tmp_path, field):
     assert len(result.records) == 1
     assert [e.line for e in result.errors] == [2]
     with pytest.raises(RecordError):
-        PredictorOutput.from_dict(output_row(**{field: ["face"]}))
+        StudentRecord.from_dict(student_row(predictor_outputs=[output_row(**{field: ["face"]})]))
 
 
 def test_candidate_strings_of_one_load_are_shared(tmp_path):
@@ -594,5 +594,5 @@ def test_loading_candidates_holds_well_under_a_kilobyte_each(tmp_path):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(loaded) == 2000 and not loaded.errors
-    assert held / len(loaded) < 700
+    assert len(loaded.records) == 2000 and not loaded.errors
+    assert held / len(loaded.records) < 700

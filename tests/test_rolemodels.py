@@ -7,6 +7,7 @@ from stem_match.rolemodels import (
     GROUP_NON_STEM,
     GROUP_RELATED,
     GROUP_STEM,
+    KEPT_REASONS,
     REASON_NON_STEM,
     REASON_RELATED_WITH_DEGREE,
     REASON_RELATED_WITHOUT_DEGREE,
@@ -18,9 +19,9 @@ from stem_match.rolemodels import (
     default_majors,
     default_taxonomy,
     filter_role_models,
-    is_role_model,
     load_majors,
     load_taxonomy,
+    role_model_reason,
 )
 
 TAXONOMY = IndustryTaxonomy({
@@ -44,56 +45,53 @@ def candidate(industry, majors=(), cid="c1"):
 
 
 def test_stem_industry_is_a_role_model_regardless_of_degree():
-    decision = is_role_model(candidate("Biotechnology"), TAXONOMY, default_majors())
-    assert decision.is_role_model
-    assert decision.reason == REASON_STEM
-    assert decision.stem_major is None
+    assert role_model_reason(candidate("Biotechnology"), TAXONOMY, default_majors()) == REASON_STEM
+    assert REASON_STEM in KEPT_REASONS
 
 
 def test_related_industry_needs_a_stem_degree():
     majors = default_majors()
-    with_degree = is_role_model(
-        candidate("Financial Services", majors=["Computer Science"]), TAXONOMY, majors
+    with_degree = role_model_reason(
+        candidate("Financial Services", majors=["History", "Computer Science"]), TAXONOMY, majors
     )
-    assert with_degree.is_role_model
-    assert with_degree.reason == REASON_RELATED_WITH_DEGREE
-    assert with_degree.stem_major == "Computer Science"
+    assert with_degree == REASON_RELATED_WITH_DEGREE
+    assert with_degree in KEPT_REASONS
 
-    without = is_role_model(
+    without = role_model_reason(
         candidate("Financial Services", majors=["History"]), TAXONOMY, majors
     )
-    assert not without.is_role_model
-    assert without.reason == REASON_RELATED_WITHOUT_DEGREE
+    assert without == REASON_RELATED_WITHOUT_DEGREE
+    assert without not in KEPT_REASONS
 
 
 def test_major_resolution_is_exact_after_normalization():
     majors = default_majors()
     # aliases and case/whitespace variants resolve ...
     for form in ("cs", "CS", "  computer   science ", "Comp Sci"):
-        decision = is_role_model(candidate("Financial Services", majors=[form]), TAXONOMY, majors)
-        assert decision.is_role_model, form
-        assert decision.stem_major == "Computer Science"
+        assert majors.resolve(form) == "Computer Science", form
+        reason = role_model_reason(candidate("Financial Services", majors=[form]), TAXONOMY,
+                                   majors)
+        assert reason == REASON_RELATED_WITH_DEGREE, form
     # ... but embedded mentions do not (no fuzzy matching)
-    decision = is_role_model(
+    assert majors.resolve("B.S. in Computer Science") is None
+    reason = role_model_reason(
         candidate("Financial Services", majors=["B.S. in Computer Science"]), TAXONOMY, majors
     )
-    assert not decision.is_role_model
+    assert reason == REASON_RELATED_WITHOUT_DEGREE
 
 
 def test_non_stem_industry_is_never_a_role_model():
-    decision = is_role_model(
+    reason = role_model_reason(
         candidate("Restaurants", majors=["Computer Science"]), TAXONOMY, default_majors()
     )
-    assert not decision.is_role_model
-    assert decision.reason == REASON_NON_STEM
+    assert reason == REASON_NON_STEM
+    assert reason not in KEPT_REASONS
 
 
 def test_unknown_industry_is_its_own_reason():
-    decision = is_role_model(
-        candidate("Basket Weaving"), TAXONOMY, default_majors()
-    )
-    assert not decision.is_role_model
-    assert decision.reason == REASON_UNKNOWN
+    reason = role_model_reason(candidate("Basket Weaving"), TAXONOMY, default_majors())
+    assert reason == REASON_UNKNOWN
+    assert reason not in KEPT_REASONS
 
 
 def test_filter_preserves_order_and_counts_every_reason():
@@ -114,10 +112,10 @@ def test_filter_preserves_order_and_counts_every_reason():
         REASON_NON_STEM: 1,
         REASON_UNKNOWN: 1,
     }
-    assert result.decisions["c4"].reason == REASON_RELATED_WITHOUT_DEGREE
+    assert result.decisions["c4"] == REASON_RELATED_WITHOUT_DEGREE
 
 
-def test_filter_shares_one_decision_per_outcome():
+def test_filter_maps_every_candidate_to_its_reason_in_input_order():
     pool = [
         candidate("Biotechnology", cid="c1"),
         candidate("Computer Software", cid="c2"),
@@ -125,12 +123,17 @@ def test_filter_shares_one_decision_per_outcome():
         candidate("Hospital & Health Care", majors=["Computer Science"], cid="c4"),
         candidate("Financial Services", majors=["Mathematics"], cid="c5"),
     ]
-    result = filter_role_models(pool, TAXONOMY, default_majors())
+    majors = default_majors()
+    result = filter_role_models(pool, TAXONOMY, majors)
+    assert result.decisions == {
+        "c1": REASON_STEM,
+        "c2": REASON_STEM,
+        "c3": REASON_RELATED_WITH_DEGREE,
+        "c4": REASON_RELATED_WITH_DEGREE,
+        "c5": REASON_RELATED_WITH_DEGREE,
+    }
     assert list(result.decisions) == ["c1", "c2", "c3", "c4", "c5"]
-    assert result.decisions["c1"] is result.decisions["c2"]
-    assert result.decisions["c3"] is result.decisions["c4"]
-    assert result.decisions["c5"] == is_role_model(pool[4], TAXONOMY, default_majors())
-    assert result.decisions["c5"] != result.decisions["c3"]
+    assert all(result.decisions[c.id] == role_model_reason(c, TAXONOMY, majors) for c in pool)
     assert [c.id for c in result.role_models] == ["c1", "c2", "c3", "c4", "c5"]
 
 
@@ -186,7 +189,7 @@ def test_load_majors_rejects_duplicate_aliases(tmp_path):
 
 def test_bundled_taxonomy_covers_the_standard_industry_list():
     taxonomy = default_taxonomy()
-    assert len(taxonomy) == 147
+    assert len(taxonomy.groups) == 147
     groups = list(taxonomy.groups.values())
     assert groups.count(GROUP_STEM) == 23
     assert groups.count(GROUP_RELATED) == 27
@@ -199,6 +202,6 @@ def test_bundled_taxonomy_covers_the_standard_industry_list():
 
 def test_bundled_majors_list():
     majors = default_majors()
-    assert len(majors) == 38
+    assert len(majors.canonical) == 38
     assert majors.resolve("computer science") == "Computer Science"
     assert majors.resolve("underwater basket weaving") is None

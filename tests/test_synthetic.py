@@ -7,7 +7,7 @@ import json
 import pytest
 
 import oracles
-from stem_match.rolemodels import default_majors, default_taxonomy, is_role_model
+from stem_match.rolemodels import KEPT_REASONS, default_majors, default_taxonomy, role_model_reason
 from stem_match.synthetic import (
     DEFAULT_INTEREST_VOCABULARY,
     SynthConfig,
@@ -28,6 +28,12 @@ def truth_by_id(population):
     return {row["subject_id"]: row for row in population.annotations}
 
 
+def planted_pairs(population):
+    """student id -> planted candidate id, for annotated students."""
+    return {row["subject_id"]: row["planted_candidate_id"]
+            for row in population.annotations if row.get("planted_candidate_id")}
+
+
 def test_same_seed_reproduces_the_population_exactly():
     first = generate_population(small_config())
     second = generate_population(small_config())
@@ -44,28 +50,28 @@ def test_different_seeds_differ():
 
 def test_full_planting_gives_every_student_a_partner():
     population = generate_population(small_config(planted_fraction=1.0))
-    pairs = population.planted_pairs()
+    pairs = planted_pairs(population)
     assert len(pairs) == 40
     assert len(set(pairs.values())) == 40  # injective
 
 
 def test_no_planting_by_default():
     population = generate_population(small_config())
-    assert population.planted_pairs() == {}
+    assert planted_pairs(population) == {}
 
 
 def test_planted_candidate_mirrors_student_truth():
     population = generate_population(small_config(planted_fraction=1.0))
     truth = truth_by_id(population)
     candidates = {record.id: record for record in population.candidates}
-    for student_id, candidate_id in population.planted_pairs().items():
+    for student_id, candidate_id in planted_pairs(population).items():
         s_row, c_row = truth[student_id], truth[candidate_id]
         assert c_row["gender"] == s_row["gender"]
         assert c_row["race"] == s_row["race"]
         assert (c_row["city"], c_row["state"]) == (s_row["city"], s_row["state"])
         assert c_row["is_stem_role_model"] is True
         record = candidates[candidate_id]
-        assert is_role_model(record, default_taxonomy(), default_majors()).is_role_model
+        assert role_model_reason(record, default_taxonomy(), default_majors()) in KEPT_REASONS
 
 
 def test_planted_pairs_survive_missingness():
@@ -75,7 +81,7 @@ def test_planted_pairs_survive_missingness():
     )
     population = generate_population(config)
     candidates = {record.id: record for record in population.candidates}
-    for candidate_id in population.planted_pairs().values():
+    for candidate_id in planted_pairs(population).values():
         record = candidates[candidate_id]
         assert record.predictor_outputs  # demographics still present
         assert record.interests_raw or record.skills_raw
@@ -86,7 +92,7 @@ def test_candidate_truth_flag_matches_the_predicate():
     truth = truth_by_id(population)
     taxonomy, majors = default_taxonomy(), default_majors()
     for record in population.candidates:
-        expected = is_role_model(record, taxonomy, majors).is_role_model
+        expected = role_model_reason(record, taxonomy, majors) in KEPT_REASONS
         assert truth[record.id]["is_stem_role_model"] is expected
 
 
