@@ -109,9 +109,9 @@ def extract_features(record: StudentRecord, with_retweet: bool = False) -> Featu
 
 _FINITE = (math.isfinite, "a finite number")
 # Model field -> (accepts(value), what it must be).  A field without a rule
-# of its own, such as a feature's weight, must be finite.  ``TrainConfig``,
-# ``ClassifierModel`` and ``load_model`` all check through ``_check``, and
-# ``PipelineConfig`` takes its training keys' rules from here.
+# of its own, such as a feature's weight, must be finite.  ``TrainConfig``
+# and ``ClassifierModel`` check through ``_check``, and ``PipelineConfig``
+# takes its training keys' rules from here.
 _RULES = {
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
@@ -288,7 +288,7 @@ def infer(model: ClassifierModel, features: Sequence[FeatureVector]) -> list[str
     return [COLLEGE if score >= 0.0 else NON_COLLEGE for score in _scores(model, features).tolist()]
 
 
-def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: int = 10,
+def cross_validate(features: Sequence[FeatureVector], labels: Sequence[str], k: int,
                    config: TrainConfig = TrainConfig()) -> float:
     """Mean held-out accuracy over k seeded, deterministic folds.
 
@@ -343,49 +343,3 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     if model.cv_accuracy is not None:
         lines.append(f"cv_accuracy {model.cv_accuracy!r}")
     write_atomic(path, ["\n".join(lines) + "\n"])
-
-
-# Model-file scalar -> the model field it sets and its type; a scalar line
-# not listed here is an error.
-_SCALARS = {"bias": ("bias", float), "lambda": ("lam", float), "seed": ("seed", int),
-            "epochs": ("epochs", int), "cv_accuracy": ("cv_accuracy", float)}
-
-
-def load_model(path: str | Path) -> ClassifierModel:
-    features: dict[str, float] = {}
-    scalars: dict[str, float | int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "feature" and len(parts) == 3:
-                if parts[1] not in BASE_FEATURES + (RETWEET_FEATURE,):
-                    raise ClassifierError(f"unknown feature {parts[1]!r}")
-                if parts[1] in features:
-                    raise ClassifierError(f"duplicate feature {parts[1]!r}")
-                features[parts[1]] = float(parts[2])
-                _check(parts[1], features[parts[1]])
-            elif len(parts) == 2 and parts[0] in _SCALARS:
-                if parts[0] in scalars:
-                    raise ClassifierError(f"duplicate {parts[0]!r} line")
-                name, kind = _SCALARS[parts[0]]
-                scalars[parts[0]] = kind(parts[1])
-                _check(name, scalars[parts[0]])
-            else:
-                raise ClassifierError(f"unparseable model line: {line!r}")
-        except ValueError as exc:
-            raise ClassifierError(f"{path} line {line_no}: {exc}") from exc
-    try:
-        return ClassifierModel(
-            weights=tuple(features.values()),
-            bias=scalars["bias"],
-            active_features=tuple(features),
-            seed=scalars["seed"],
-            epochs=scalars["epochs"],
-            lam=scalars["lambda"],
-            cv_accuracy=scalars.get("cv_accuracy"),
-        )
-    except KeyError as exc:
-        raise ClassifierError(f"model file missing field {exc.args[0]!r}") from exc

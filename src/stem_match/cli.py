@@ -1,12 +1,15 @@
 """Command-line interface.
 
-One subcommand per pipeline stage plus ``evaluate``, ``pipeline`` (run
-every stage from a config file, rebuilding every artifact) and ``synth``
-(generate a synthetic population).  Each stage subcommand loads its
-inputs, warning about and skipping bad rows, then calls the pipeline's
-function for that stage, so it writes the same bytes as a pipeline run.
-Stages read and write plain JSONL files so they can be chained, inspected,
-and rerun by hand; they are how part of a run is rebuilt.
+One subcommand for each of the stages ``label``, ``classify``,
+``identify``, ``attributes`` and ``rank``, plus ``evaluate`` (the report's
+evaluation of a matches file), ``pipeline`` (run every stage, ``report``
+and ``pages`` included, from a config file, rebuilding every artifact)
+and ``synth`` (generate a synthetic population).  Each stage subcommand
+loads its inputs, warning about and skipping bad rows, then calls the
+pipeline's function for that stage, so it writes the same bytes as a
+pipeline run.  Stages read and write plain JSONL files so they can be
+chained, inspected, and rerun by hand; they are how part of a run is
+rebuilt.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _cmd_attributes(args: argparse.Namespace) -> int:
     elif args.predicted:
         raise ValueError("--predicted applies to --kind student only")
     else:
-        records, _ = pipeline_mod.load_rolemodels(args.in_path)
+        records = pipeline_mod.load_rolemodels(args.in_path)
     profiles = pipeline_mod.attributes(records, args.out)
     print(f"wrote {len(profiles)} {args.kind} profiles")
     return 0

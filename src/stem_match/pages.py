@@ -10,8 +10,8 @@ The pages go to a temporary directory, a ``PageStaging``, that replaces the
 output directory once every page is written.  The kernel's cost of creating
 thousands of files after a mass deletion can exceed that of rendering them,
 so a pipeline run names the students it will write pages for as soon as it
-knows them, and a helper process creates those files, empty, while the
-compute stages run.
+knows them, and the staging's helper process creates those files, empty,
+while the compute stages run.
 """
 
 from __future__ import annotations
@@ -114,24 +114,26 @@ _CREATOR = (
 
 
 class PageStaging:
-    """The temporary directory beside ``out_dir`` that ``write_pages`` fills.
+    """The temporary directory beside ``out_dir`` that ``write_pages`` fills
+    and then puts in place of ``out_dir``, its ``directory``.
 
-    With ``helper``, a helper process creates ahead the empty pages of the
-    student ids that ``reserve`` queues; a page that already exists is
-    truncated and written like a new one.  Names are written to the
-    helper's stdin without blocking, and only filename-safe ids are sent.
-    The helper exits at the end of its stdin, and its exit status is
-    ignored: what it has not created when ``write_pages`` stops it,
-    ``write_pages`` creates.  ``close`` stops the helper and deletes the
-    directory unless ``write_pages`` has put it in place.
+    A helper process creates ahead the empty pages of the student ids that
+    ``reserve`` queues; a page that already exists is truncated and written
+    like a new one.  Names are written to the helper's stdin without
+    blocking, and only filename-safe ids are sent.  The helper exits at the
+    end of its stdin, and its exit status is ignored: what it has not
+    created when ``write_pages`` stops it, ``write_pages`` creates, and so
+    it creates every page where no helper could start.  ``close`` stops the
+    helper and deletes the temporary directory unless ``write_pages`` has
+    put it in place.
     """
 
-    def __init__(self, out_dir: str | Path, helper: bool = False):
-        directory = Path(out_dir)
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        self.temp = directory.with_name(f".{directory.name}.{os.urandom(6).hex()}.tmp")
+    def __init__(self, out_dir: str | Path):
+        self.directory = Path(out_dir)
+        self.directory.parent.mkdir(parents=True, exist_ok=True)
+        self.temp = self.directory.with_name(f".{self.directory.name}.{os.urandom(6).hex()}.tmp")
         self.temp.mkdir()
-        self._helper = _start_helper(self.temp) if helper else None
+        self._helper = _start_helper(self.temp)
         self._pending = b""
 
     def __enter__(self) -> "PageStaging":
@@ -183,35 +185,31 @@ def _start_helper(directory: Path) -> subprocess.Popen | None:
 
 
 def write_pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
-                candidates: Mapping[str, CandidateRecord], out_dir: str | Path,
+                candidates: Mapping[str, CandidateRecord], staging: PageStaging,
                 survey_url: str | None = None,
-                url_template: str = PROFILE_URL_TEMPLATE,
-                staging: PageStaging | None = None) -> list[Path]:
-    """Write ``<out_dir>/<student_id>.html`` for every result.
+                url_template: str = PROFILE_URL_TEMPLATE) -> list[Path]:
+    """Write ``<staging.directory>/<student_id>.html`` for every result.
 
     ``display_names`` maps each student id to the student's display name
-    (empty when unknown).  ``out_dir`` is replaced whole: the pages are
-    written to a temporary directory beside it, ``staging`` or a new one,
-    which takes its place only once every page is written and it holds no
-    other file, and is deleted when anything raises.  So no page of a
-    student who is no longer in the results survives, and a call that
-    fails leaves the previous ``out_dir`` as it was.
+    (empty when unknown).  The directory is replaced whole: the pages are
+    written to ``staging``'s temporary directory, which takes its place
+    only once every page is written and it holds no other file, and is
+    deleted when anything raises.  So no page of a student who is no longer
+    in the results survives, and a call that fails leaves the previous
+    directory as it was.
 
     Profile URLs are derived from candidate ids through ``url_template``
     (records carry no URL field of their own).  A role model's entry is
     rendered, and its profile URL checked, once per call, so a page's bytes
     do not depend on the other results of the call.
     """
-    if survey_url:
-        _check_url(survey_url)
-    directory = Path(out_dir)
-    if staging is None:
-        staging = PageStaging(directory)
-    temp = staging.temp
+    directory, temp = staging.directory, staging.temp
     items: dict[str, str] = {}
     names = []
     try:
         staging.stop()
+        if survey_url:
+            _check_url(survey_url)
         for result in results:
             display_name = display_names.get(result.student_id)
             if display_name is None:

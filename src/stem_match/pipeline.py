@@ -265,23 +265,13 @@ def identify(candidates: Iterable[CandidateRecord], taxonomy: rolemodels.Industr
     return result
 
 
-def load_rolemodels(path: str | Path) -> tuple[list[CandidateRecord], list[str]]:
-    """Role models as the identify stage wrote them, and the reason each was kept.
-
-    A repeated role-model id is fatal, like any other invalid row, and so
-    is a reason that is not a string; a row without one reads "unknown".
-    """
+def load_rolemodels(path: str | Path) -> list[CandidateRecord]:
+    """Role models as the identify stage wrote them; a repeated role-model
+    id is fatal, like any other invalid row.  The reason each was kept is
+    not read back."""
     shared: dict = {}
-
-    def build(row: dict) -> tuple[CandidateRecord, str]:
-        record = CandidateRecord.from_dict(row, shared=shared)
-        reason = row.get("reason", "unknown")
-        if not isinstance(reason, str):
-            raise RecordError(f"field 'reason' must be a string, got {reason!r}")
-        return record, reason
-
-    pairs = read_jsonl(path, build, key=lambda pair: pair[0].id)
-    return [record for record, _ in pairs], [reason for _, reason in pairs]
+    return read_jsonl(path, lambda row: CandidateRecord.from_dict(row, shared=shared),
+                      key=lambda record: record.id)
 
 
 def _predicted_row(row: dict) -> dict:
@@ -361,13 +351,13 @@ def report(results: Sequence[MatchResult], labels: Mapping[str, str],
 
 
 def pages(results: Iterable[MatchResult], display_names: Mapping[str, str],
-          role_models: Iterable[CandidateRecord], pages_dir: str | Path,
-          survey_url: str | None, url_template: str,
-          staging: pages_mod.PageStaging | None = None) -> list[Path]:
-    """Write one page per student, listing its ranked role models."""
+          role_models: Iterable[CandidateRecord], staging: pages_mod.PageStaging,
+          survey_url: str | None, url_template: str) -> list[Path]:
+    """Write one page per student, listing its ranked role models, into
+    ``staging``'s directory."""
     return pages_mod.write_pages(
         results, display_names, {r.id: r for r in role_models},
-        pages_dir, survey_url=survey_url, url_template=url_template, staging=staging,
+        staging, survey_url=survey_url, url_template=url_template,
     )
 
 
@@ -437,7 +427,7 @@ def _stage_report(config: PipelineConfig, paths: Mapping[str, Path], state: dict
 
 def _stage_pages(config: PipelineConfig, paths: Mapping[str, Path], state: dict) -> None:
     pages(state.pop("matches"), state.pop("display_names"), state.pop("rolemodels"),
-          paths["pages"], config.survey_url, config.profile_url_template, state["staging"])
+          state["staging"], config.survey_url, config.profile_url_template)
 
 
 _STAGE_FUNCS = {
@@ -464,7 +454,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     paths = config.artifact_paths()
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    with pages_mod.PageStaging(paths["pages"], helper=True) as staging:
+    with pages_mod.PageStaging(paths["pages"]) as staging:
         state: dict = {"staging": staging}
         for stage in STAGES:
             try:

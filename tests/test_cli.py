@@ -250,21 +250,6 @@ def test_a_repeated_row_of_an_artifact_fails_its_reader_naming_file_line_and_id(
     assert not (tmp_path / "written.jsonl").exists()
 
 
-@pytest.mark.parametrize("bad", [["stem-industry"], 5])
-def test_a_role_model_reason_that_is_not_a_string_fails_attributes_naming_file_and_line(
-        pipeline_run, tmp_path, capsys, bad):
-    rolemodels = tmp_path / "rolemodels.jsonl"
-    rows = (pipeline_run / "rolemodels.jsonl").read_text(encoding="utf-8").splitlines(
-        keepends=True)
-    rows[1] = json.dumps({**json.loads(rows[1]), "reason": bad}) + "\n"
-    rolemodels.write_text("".join(rows), encoding="utf-8")
-    assert main(["attributes", "--in", str(rolemodels), "--kind", "candidate",
-                 "--out", str(tmp_path / "cprof.jsonl")]) == 1
-    err = capsys.readouterr().err
-    assert f"error: {rolemodels} line 2: field 'reason' must be a string, got {bad!r}" in err
-    assert not (tmp_path / "cprof.jsonl").exists()
-
-
 def test_predicted_with_candidate_profiles_is_a_clean_error(corpus, tmp_path, capsys):
     code = main(["attributes", "--in", str(corpus / "candidates.jsonl"), "--kind", "candidate",
                  "--predicted", str(tmp_path / "predicted.jsonl"),

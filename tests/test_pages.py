@@ -30,10 +30,15 @@ def candidates_by_id(*records):
     return {record.id: record for record in records}
 
 
+def write(results, names, mapping, out_dir, **options):
+    """``write_pages`` through a staging of ``out_dir``, closed however the call ends."""
+    with PageStaging(out_dir) as staging:
+        return write_pages(results, names, mapping, staging, **options)
+
+
 def page_for(out_dir, result, greeting_name, mapping, **options):
     """The text of the one page ``write_pages`` writes for ``result``."""
-    [path] = write_pages([result], {result.student_id: greeting_name}, mapping, out_dir,
-                         **options)
+    [path] = write([result], {result.student_id: greeting_name}, mapping, out_dir, **options)
     return path.read_text(encoding="utf-8")
 
 
@@ -119,7 +124,7 @@ def test_write_pages_one_file_per_student(tmp_path):
     mapping = candidates_by_id(candidate("c1"), candidate("c2"))
     names = {"s1": "Ana", "s2": "Blake"}
     results = [result_for("s1", ["c1"]), result_for("s2", ["c2", "c1"])]
-    paths = write_pages(results, names, mapping, tmp_path)
+    paths = write(results, names, mapping, tmp_path)
     assert sorted(p.name for p in paths) == ["s1.html", "s2.html"]
     page_one = (tmp_path / "s1.html").read_text(encoding="utf-8")
     page_two = (tmp_path / "s2.html").read_text(encoding="utf-8")
@@ -131,14 +136,13 @@ def test_write_pages_one_file_per_student(tmp_path):
 
 def test_write_pages_requires_known_students(tmp_path):
     with pytest.raises(PageError):
-        write_pages([result_for("s1", ["c1"])], {}, candidates_by_id(candidate("c1")), tmp_path)
+        write([result_for("s1", ["c1"])], {}, candidates_by_id(candidate("c1")), tmp_path)
 
 
 def test_write_pages_rejects_ids_that_are_not_safe_filenames(tmp_path):
     sid = "../escape"
     with pytest.raises(PageError):
-        write_pages([result_for(sid, ["c1"])], {sid: ""},
-                    candidates_by_id(candidate("c1")), tmp_path)
+        write([result_for(sid, ["c1"])], {sid: ""}, candidates_by_id(candidate("c1")), tmp_path)
     assert not (tmp_path.parent / "escape.html").exists()
 
 
@@ -156,7 +160,7 @@ def test_each_page_equals_the_page_of_a_call_for_that_student_alone(tmp_path):
     names = {r.student_id: name for r, name in zip(results, ["Ana", "<b>Blake</b>", "", "Dee"] * 5)}
     for survey_url in (None, "https://example.com/survey?a=1&b=2"):
         out_dir = tmp_path / ("survey" if survey_url else "plain")
-        paths = write_pages(results, names, mapping, out_dir, survey_url=survey_url)
+        paths = write(results, names, mapping, out_dir, survey_url=survey_url)
         assert [p.name for p in paths] == [f"{r.student_id}.html" for r in results]
         for result, path in zip(results, paths):
             alone = page_for(tmp_path / "alone", result, names[result.student_id], mapping,
@@ -173,12 +177,11 @@ def test_write_pages_rejects_bad_urls_and_unknown_candidates(tmp_path):
     results = [result_for("s1", ["c1"]), result_for("s2", ["c1"])]
     names = {"s1": "Ana", "s2": "Blake"}
     with pytest.raises(PageError):
-        write_pages(results, names, mapping, tmp_path, url_template="javascript:alert({id})")
+        write(results, names, mapping, tmp_path, url_template="javascript:alert({id})")
     with pytest.raises(PageError):
-        write_pages(results, names, mapping, tmp_path, survey_url="ftp://example.com/survey")
+        write(results, names, mapping, tmp_path, survey_url="ftp://example.com/survey")
     with pytest.raises(PageError) as err:
-        write_pages(results + [result_for("s3", ["ghost"])], {**names, "s3": ""}, mapping,
-                    tmp_path)
+        write(results + [result_for("s3", ["ghost"])], {**names, "s3": ""}, mapping, tmp_path)
     assert "ghost" in str(err.value)
 
 
@@ -186,7 +189,7 @@ def test_a_call_that_fails_leaves_the_previous_pages_whole(tmp_path):
     mapping = candidates_by_id(candidate("c1"), candidate("c2"))
     names = {"s1": "Ana", "s2": "Blake", "s3": "Cy"}
     pages_dir = tmp_path / "pages"
-    write_pages([result_for("s1", ["c1"]), result_for("s2", ["c2"])], names, mapping, pages_dir)
+    write([result_for("s1", ["c1"]), result_for("s2", ["c2"])], names, mapping, pages_dir)
     before = {path.name: path.read_bytes() for path in pages_dir.iterdir()}
 
     # the third result ranks a candidate with no record, after two pages of
@@ -194,7 +197,7 @@ def test_a_call_that_fails_leaves_the_previous_pages_whole(tmp_path):
     results = [result_for("s2", ["c1", "c2"]), result_for("s3", ["c2"]),
                result_for("s1", ["ghost"])]
     with pytest.raises(PageError, match="ghost"):
-        write_pages(results, names, mapping, pages_dir)
+        write(results, names, mapping, pages_dir)
     assert {path.name: path.read_bytes() for path in pages_dir.iterdir()} == before
     assert [path.name for path in tmp_path.iterdir()] == ["pages"]
 
@@ -203,15 +206,15 @@ def test_a_rewrite_replaces_the_pages_directory_and_leaves_no_temporary(tmp_path
     mapping = candidates_by_id(candidate("c1"))
     names = {"s1": "Ana", "s2": "Blake"}
     pages_dir = tmp_path / "pages"
-    write_pages([result_for("s1", ["c1"]), result_for("s2", ["c1"])], names, mapping, pages_dir)
-    [path] = write_pages([result_for("s2", ["c1"])], names, mapping, pages_dir)
+    write([result_for("s1", ["c1"]), result_for("s2", ["c1"])], names, mapping, pages_dir)
+    [path] = write([result_for("s2", ["c1"])], names, mapping, pages_dir)
     assert path == pages_dir / "s2.html"
     assert [p.name for p in pages_dir.iterdir()] == ["s2.html"]
     assert [p.name for p in tmp_path.iterdir()] == ["pages"]
 
 
 def test_the_helper_creates_the_reserved_pages_and_skips_unsafe_ids(tmp_path):
-    with PageStaging(tmp_path / "pages", helper=True) as staging:
+    with PageStaging(tmp_path / "pages") as staging:
         staging.reserve(["../escape", "s1", "a/b"])
         staging.reserve(["s2"])
         # the helper takes names in order, so s2's page is the last it makes
@@ -228,10 +231,10 @@ def test_write_pages_fills_a_staging_directory_and_puts_it_in_place(tmp_path):
     mapping = candidates_by_id(candidate("c1"))
     results = [result_for("s1", ["c1"]), result_for("s2", ["c1"])]
     names = {"s1": "Ana", "s2": "Blake"}
-    write_pages(results, names, mapping, tmp_path / "plain")
-    with PageStaging(tmp_path / "staged", helper=True) as staging:
+    write(results, names, mapping, tmp_path / "plain")
+    with PageStaging(tmp_path / "staged") as staging:
         staging.reserve(["s2", "s1"])
-        write_pages(results, names, mapping, tmp_path / "staged", staging=staging)
+        write_pages(results, names, mapping, staging)
     assert ({p.name: p.read_bytes() for p in (tmp_path / "staged").iterdir()}
             == {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "staged"]
@@ -239,9 +242,8 @@ def test_write_pages_fills_a_staging_directory_and_puts_it_in_place(tmp_path):
 
 def test_write_pages_refuses_a_staging_directory_holding_a_file_it_did_not_write(tmp_path):
     pages_dir = tmp_path / "pages"
-    staging = PageStaging(pages_dir)
-    (staging.temp / "s9.html").touch()
-    with pytest.raises(PageError, match="'s9.html'"):
+    with PageStaging(pages_dir) as staging, pytest.raises(PageError, match="'s9.html'"):
+        (staging.temp / "s9.html").touch()
         write_pages([result_for("s1", ["c1"])], {"s1": "Ana"}, candidates_by_id(candidate("c1")),
-                    pages_dir, staging=staging)
+                    staging)
     assert list(tmp_path.iterdir()) == []

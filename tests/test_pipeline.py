@@ -86,8 +86,8 @@ def test_rerun_from_scratch_is_byte_identical(tmp_path, corpus):
     assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
 
 
-NO_LOADS = dict(load_students=0, read_labels=0, load_model=0, load_profiles=0,
-                load_rolemodels=0, load_matches=0, read_jsonl=0)
+NO_LOADS = dict(load_students=0, read_labels=0, load_profiles=0, load_rolemodels=0,
+                load_matches=0, read_jsonl=0)
 
 
 @pytest.fixture
@@ -106,8 +106,8 @@ def load_counts(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((pipeline, "load_students"), (pipeline.labeling, "read_labels"),
-                         (pipeline.clf, "load_model"), (pipeline.attr, "load_profiles"),
-                         (pipeline, "load_rolemodels"), (pipeline.matching, "load_matches")):
+                         (pipeline.attr, "load_profiles"), (pipeline, "load_rolemodels"),
+                         (pipeline.matching, "load_matches")):
         count(module, name)
     count(pipeline, "read_jsonl", lambda path: tmp_path in Path(path).parents)
     return counts
@@ -246,7 +246,14 @@ def no_interpreter(monkeypatch):
     monkeypatch.setattr(sys, "executable", "")
 
 
-@pytest.mark.parametrize("without_helper", [stop_at_once, no_interpreter])
+def no_process(monkeypatch):
+    """Make starting a process fail, as on a host that allows no new process."""
+    def refused(*args, **kwargs):
+        raise OSError("no process can be started")
+    monkeypatch.setattr(subprocess, "Popen", refused)
+
+
+@pytest.mark.parametrize("without_helper", [stop_at_once, no_interpreter, no_process])
 def test_pages_are_the_same_bytes_without_a_working_helper(tmp_path, corpus, monkeypatch,
                                                            helpers, without_helper):
     run_pipeline(make_config(corpus, tmp_path / "helped"))
@@ -297,9 +304,9 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("k", "5"), ("k", True), ("seed", 1.5), ("epochs", None), ("cv_folds", "3"),
+    ("k", "5"), ("k", True), ("k", None), ("seed", 1.5), ("epochs", None), ("cv_folds", "3"),
     ("lam", "0.1"), ("fuzzy_threshold", False), ("with_retweet", "no"), ("with_retweet", 0),
-    ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]),
+    ("top10_cities", "Boston"), ("top10_cities", ["Boston, MA", 7]), ("top10_cities", None),
     ("survey_url", 5), ("profile_url_template", ["x"]), ("students", 3), ("annotations", 1),
     ("fuzzy_threshold", 1.5), ("lam", 0), ("lam", float("inf")), ("seed", -1), ("epochs", -3),
     ("epochs", 0), ("survey_url", "ftp://example.org/s"), ("survey_url", "example.org/s"),
