@@ -305,8 +305,15 @@ def test_cross_validation_validates_fold_count():
 # ---------------------------------------------------------------------------
 
 
-def test_each_value_line_of_the_model_file_reads_back_as_the_models_exact_value(tmp_path):
-    model = dataclasses.replace(train(*separable_data()), cv_accuracy=2 / 3)
+@pytest.mark.parametrize("cv_accuracy", [2 / 3, None])
+@pytest.mark.parametrize("with_retweet", [False, True])
+def test_each_value_line_of_the_model_file_reads_back_as_the_models_exact_value(
+        tmp_path, with_retweet, cv_accuracy):
+    features, labels = separable_data()
+    if with_retweet:
+        features = [dataclasses.replace(f, retweet_bin=i % 10) for i, f in enumerate(features)]
+    model = dataclasses.replace(train(features, labels, TrainConfig(with_retweet=with_retweet)),
+                                cv_accuracy=cv_accuracy)
     path = tmp_path / "model.txt"
     save_model(model, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
@@ -314,7 +321,11 @@ def test_each_value_line_of_the_model_file_reads_back_as_the_models_exact_value(
     want = {**{f"feature {name}": weight
                for name, weight in zip(model.active_features, model.weights)},
             "bias": model.bias, "lambda": model.lam, "seed": model.seed,
-            "epochs": model.epochs, "cv_accuracy": model.cv_accuracy}
+            "epochs": model.epochs}
+    # a model without a cross-validated accuracy writes no line for it
+    if cv_accuracy is not None:
+        want["cv_accuracy"] = cv_accuracy
+    assert ("feature retweet_bin" in want) == with_retweet
     written = dict(line.rsplit(" ", 1) for line in lines)
     assert list(written) == list(want)
     for key, value in want.items():
@@ -329,6 +340,25 @@ def test_no_model_holds_a_bool_its_file_could_not_read_back(field):
     # TrainConfig rejects it too, so train cannot make one.
     with pytest.raises(ClassifierError, match=f"^{field} must be "):
         dataclasses.replace(train(*separable_data()), **{field: True})
+
+
+# Each replaces one field of a trained model with a value the model file
+# could not state as a finite number, a count or an accuracy.
+@pytest.mark.parametrize("field, value, message", [
+    ("weights", math.nan, "emoji_bin must be a finite number, got nan"),
+    ("bias", math.inf, "bias must be a finite number, got inf"),
+    ("lam", -1.0, "lam must be a finite number > 0, got -1.0"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("epochs", -3, "epochs must be an integer >= 1, got -3"),
+    ("cv_accuracy", 7.5, "cv_accuracy must be null or within [0, 1], got 7.5"),
+])
+def test_a_model_rejects_a_value_no_model_can_hold(field, value, message):
+    model = train(*separable_data())
+    if field == "weights":
+        value = (value,) + model.weights[1:]
+    with pytest.raises(ClassifierError) as err:
+        dataclasses.replace(model, **{field: value})
+    assert str(err.value) == message
 
 
 def test_a_model_that_fails_mid_write_leaves_the_previous_file_whole(tmp_path):

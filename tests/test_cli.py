@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from stem_match.cli import main
+from stem_match.rolemodels import KEPT_REASONS
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +249,25 @@ def test_a_repeated_row_of_an_artifact_fails_its_reader_naming_file_line_and_id(
     err = capsys.readouterr().err
     assert f"error: {path} line {len(rows) + 1}: duplicate id {repeated!r}" in err
     assert not (tmp_path / "written.jsonl").exists()
+
+
+@pytest.mark.parametrize("reason", [["stem-industry"], 5, None, "non-stem-industry", "(none)"])
+def test_attributes_ignores_the_reason_a_role_model_was_kept(pipeline_run, tmp_path, reason):
+    # identify writes each row's reason; no reader reads it back, so a reason
+    # of any type, a rejecting one, or none at all gives the same profiles.
+    rolemodels = tmp_path / "rolemodels.jsonl"
+    rows = [json.loads(line) for line in read_lines(pipeline_run / "rolemodels.jsonl")]
+    assert rows and all(row["reason"] in KEPT_REASONS for row in rows)
+    for row in rows:
+        if reason == "(none)":
+            del row["reason"]
+        else:
+            row["reason"] = reason
+    rolemodels.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(["attributes", "--in", str(rolemodels), "--kind", "candidate",
+                 "--out", str(tmp_path / "cprof.jsonl")]) == 0
+    assert (tmp_path / "cprof.jsonl").read_bytes() == \
+        (pipeline_run / "rolemodel_profiles.jsonl").read_bytes()
 
 
 def test_predicted_with_candidate_profiles_is_a_clean_error(corpus, tmp_path, capsys):
